@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .defect import analyze, defect_report, delta_block_for, flow_jacobian_ad
+from .defect import analyze, defect_report, flow_jacobian_ad
 from .experiments import (
     default_h_grid,
     defect_sweep,
@@ -67,11 +67,12 @@ class RunConfig:
     out: str | None = None
 
 
-_INT_KEYS = {"n", "m", "m1", "m2", "steps", "stride", "h_count", "jobs"}
-_FLOAT_KEYS = {"h", "h_min", "h_max"}
-_BOOL_KEYS = {"full_scale"}
-_STR_KEYS = {"hamiltonian", "scheme", "variant", "out"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _STR_KEYS
+# tuples, not sets: _validate reports the first bad key in this order
+_INT_KEYS = ("n", "m", "m1", "m2", "steps", "stride", "h_count", "jobs")
+_FLOAT_KEYS = ("h", "h_min", "h_max")
+_BOOL_KEYS = ("full_scale",)
+_STR_KEYS = ("hamiltonian", "scheme", "variant", "out")
+_ALL_KEYS = _INT_KEYS + _FLOAT_KEYS + _BOOL_KEYS + _STR_KEYS
 
 
 def _coerce(key: str, raw: str):
@@ -136,13 +137,13 @@ def _validate(cfg: RunConfig) -> None:
             Scheme(cfg.scheme)
         except ValueError as exc:
             raise ConfigError(f"unknown scheme {cfg.scheme!r}") from exc
-    for name in ("n", "m", "m1", "m2", "steps", "stride", "h_count", "jobs"):
+    for name in _INT_KEYS:
         value = getattr(cfg, name)
         if value is not None and value < 1:
             raise ConfigError(f"{name} must be >= 1, got {value}")
     if cfg.n is not None and cfg.n < 2 and (cfg.hamiltonian in (None, "quadratic")):
         raise ConfigError(f"n must be >= 2 for the quadratic model, got {cfg.n}")
-    for name in ("h", "h_min", "h_max"):
+    for name in _FLOAT_KEYS:
         value = getattr(cfg, name)
         if value is not None and not (np.isfinite(value) and value > 0):
             raise ConfigError(f"{name} must be positive and finite, got {value}")
@@ -209,6 +210,10 @@ def _cell(value) -> str:
 def _write_csv(out: str | None, header: list[str], rows: list[list]) -> None:
     text = ",".join(header) + "\n"
     text += "".join(",".join(_cell(v) for v in row) + "\n" for row in rows)
+    _write_text(out, text)
+
+
+def _write_text(out: str | None, text: str) -> None:
     if out in (None, "-"):
         sys.stdout.write(text)
     else:
@@ -271,23 +276,23 @@ DEFECT_HEADER = [
 ]
 
 
-def cmd_defect_sweep(cfg: RunConfig) -> int:
+def _one_sided_sweep(cfg: RunConfig, composition_error: str):
+    """The (M, h) defect sweep behind both defect-sweep and volume."""
     scheme = Scheme(_pick(cfg.scheme, Scheme.Q_IMPLICIT.value))
     if scheme in (Scheme.SV_PQ, Scheme.SV_QP):
-        raise ConfigError("use the sv-orders command for composition schemes")
+        raise ConfigError(composition_error)
     _check_scheme_model(cfg, scheme)
     model = _build_model(cfg)
     state = _initial_state(cfg, model)
     m_values = [cfg.m] if cfg.m is not None else [1, 2, 3]
-    sweep = defect_sweep(
-        model,
-        scheme,
-        m_values,
-        _h_grid(cfg),
-        state,
-        variant=_pick(cfg.variant, "p"),
-        jobs=_pick(cfg.jobs, 1),
+    return scheme, defect_sweep(
+        model, scheme, m_values, _h_grid(cfg), state,
+        variant=_pick(cfg.variant, "p"), jobs=_pick(cfg.jobs, 1),
     )
+
+
+def cmd_defect_sweep(cfg: RunConfig) -> int:
+    scheme, sweep = _one_sided_sweep(cfg, "use the sv-orders command for composition schemes")
     rows = [[r[col] for col in DEFECT_HEADER] for r in sweep.rows]
     _write_csv(cfg.out, DEFECT_HEADER, rows)
     for (quantity, m), fit in sweep.fits.items():
@@ -312,12 +317,7 @@ def cmd_jtilde(cfg: RunConfig) -> int:
         f"det_flow={_fmt(report.det_flow)}",
         f"det_antidiag={_fmt(report.det_antidiag)}",
     ]
-    text = "\n".join(lines) + "\n"
-    if cfg.out in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    _write_text(cfg.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -414,17 +414,7 @@ def cmd_sv_orders(cfg: RunConfig) -> int:
 
 
 def cmd_volume(cfg: RunConfig) -> int:
-    scheme = Scheme(_pick(cfg.scheme, Scheme.Q_IMPLICIT.value))
-    if scheme in (Scheme.SV_PQ, Scheme.SV_QP):
-        raise ConfigError("volume sweeps cover the one-sided schemes")
-    _check_scheme_model(cfg, scheme)
-    model = _build_model(cfg)
-    state = _initial_state(cfg, model)
-    m_values = [cfg.m] if cfg.m is not None else [1, 2, 3]
-    sweep = defect_sweep(
-        model, scheme, m_values, _h_grid(cfg), state,
-        variant=_pick(cfg.variant, "p"), jobs=_pick(cfg.jobs, 1),
-    )
+    scheme, sweep = _one_sided_sweep(cfg, "volume sweeps cover the one-sided schemes")
     rows = []
     for r in sweep.rows:
         det_flow, det_anti = r["det_flow"], r["det_antidiag"]
@@ -558,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--h-min", dest="h_min", type=float)
     common.add_argument("--h-max", dest="h_max", type=float)
     common.add_argument("--h-count", dest="h_count", type=int)
-    common.add_argument("--jobs", type=int, help="parallel workers for sweeps")
+    common.add_argument("--jobs", type=int, help="sweep worker processes; each pays process start-up")
     common.add_argument(
         "--full-scale", dest="full_scale", action="store_const", const=True,
         help="run the long-horizon drift length",

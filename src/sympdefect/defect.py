@@ -18,7 +18,9 @@ import numpy as np
 from . import linalg
 from .autodiff import finite_difference_jacobian, jacobian
 from .hamiltonians import SwappedModel
-from .integrators import Scheme, SchemeConfig, one_step
+from .integrators import (
+    Scheme, SchemeConfig, momentum_iterates, one_step, step_p_implicit, step_q_implicit,
+)
 from .state import PhaseState
 
 
@@ -81,16 +83,8 @@ def _analytic_p_implicit(model, state: PhaseState, h: float, m: int) -> np.ndarr
         dq~/dp = h H_pp^[M] dp~/dp
     """
     n_dim = model.dim
-    q, p = state.q, state.p
-    pn = p
-    sweeps = [p]
-    for _ in range(m):
-        pn = p - h * model.grad_q(q, pn)
-        sweeps.append(pn)
-    blocks = [model.hessian_blocks(q, pk) for pk in sweeps]
-    qq = [b[0] for b in blocks]
-    pp = [b[1] for b in blocks]
-    pq = [b[2] for b in blocks]
+    sweeps = momentum_iterates(model, state, h, m)
+    qq, pp, pq = zip(*(model.hessian_blocks(state.q, pk) for pk in sweeps))
 
     eye = np.eye(n_dim)
     prod = eye  # running product H_pq^[M-1] .. H_pq^[M-n]
@@ -217,8 +211,6 @@ def coordinate_swap_check(model, h: float, m: int, state: PhaseState) -> float:
     back; and the same with the two schemes exchanged.  Returns the larger
     of the two discrepancies.
     """
-    from .integrators import step_p_implicit, step_q_implicit
-
     swapped_model = SwappedModel(model)
 
     direct_q = step_q_implicit(model, state, h, m)

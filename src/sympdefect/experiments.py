@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-from .defect import analyze, defect_report, delta_block_for, flow_jacobian_ad
-from .integrators import IntegrationError, Scheme, SchemeConfig, one_step
+from .defect import analyze
+from .integrators import Scheme, SchemeConfig, orbit
 from .state import PhaseState
 
 MEASUREMENT_FLOOR = 1e-13
@@ -107,11 +108,6 @@ def _sweep_row(model, scheme: Scheme, variant: str, m: int | None, h: float, sta
     }
 
 
-def _sweep_worker(args) -> dict:
-    model, scheme, variant, m, h, state = args
-    return _sweep_row(model, scheme, variant, m, h, state)
-
-
 def defect_sweep(
     model,
     scheme: Scheme,
@@ -127,12 +123,14 @@ def defect_sweep(
     m_list = [None] if scheme in (Scheme.LINEAR_IMPLICIT_EM, Scheme.EXACT_QUADRATIC) else [
         int(m) for m in m_values
     ]
-    tasks = [(model, scheme, variant, m, float(h), state) for m in m_list for h in h_values]
+    ms = [m for m in m_list for _ in h_values]
+    hs = [float(h) for _ in m_list for h in h_values]
+    columns = (repeat(model), repeat(scheme), repeat(variant), ms, hs, repeat(state))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_worker, tasks))
+            rows = list(pool.map(_sweep_row, *columns))
     else:
-        rows = [_sweep_worker(t) for t in tasks]
+        rows = list(map(_sweep_row, *columns))
 
     fits: dict[tuple[str, int | None], FitResult | None] = {}
     for m in m_list:
@@ -167,10 +165,7 @@ def sv_block_orders(
     eye = np.eye(n)
     rows = []
     for h in np.asarray(h_values, dtype=float):
-        config = SchemeConfig(scheme, float(h), M1=m1, M2=m2)
-        dflow = flow_jacobian_ad(model, config, state)
-        report = defect_report(dflow, delta_block_for(scheme))
-        s = report.structure
+        s = analyze(model, SchemeConfig(scheme, float(h), M1=m1, M2=m2), state).structure
         rows.append(
             {
                 "h": float(h),
@@ -247,22 +242,16 @@ def energy_drift_run(
     threshold = BLOW_UP_FACTOR * max(abs(e0), np.finfo(float).tiny)
     out = []
     for config in configs:
-        indices = [0]
-        errors = [0.0]
-        current = state
+        indices = []
+        errors = []
         blown = False
-        for k in range(1, steps + 1):
-            try:
-                current = one_step(model, config, current)
-            except (ValueError, ArithmeticError) as exc:
-                raise IntegrationError(k, str(exc)) from exc
-            if k % stride == 0 or k == steps:
-                err = abs(model.energy(current) - e0)
-                indices.append(k)
-                errors.append(err)
-                if err > threshold:
-                    blown = True
-                    break
+        for k, current in orbit(model, config, state, steps, stride):
+            err = abs(model.energy(current) - e0)
+            indices.append(k)
+            errors.append(err)
+            if err > threshold:
+                blown = True
+                break
         idx = np.array(indices, dtype=int)
         errs = np.array(errors)
         out.append(

@@ -118,28 +118,16 @@ def position_iterates(model, state: PhaseState, h: float, m: int) -> list[np.nda
 
 def step_p_implicit(model, state: PhaseState, h: float, m: int) -> PhaseState:
     """Symplectic Euler with implicit momentum, M fixed-point sweeps."""
-    _check_step(h)
-    _require_count("M", m)
-    q, p = state.q, state.p
-    pn = p
-    for n in range(m):
-        pn = p - h * model.grad_q(q, pn)
-        _check_finite(pn, f"momentum iterate {n + 1}")
-    qt = q + h * model.grad_p(q, pn)
+    pn = momentum_iterates(model, state, h, m)[-1]
+    qt = state.q + h * model.grad_p(state.q, pn)
     _check_finite(qt, "updated position")
     return PhaseState(qt, pn)
 
 
 def step_q_implicit(model, state: PhaseState, h: float, m: int) -> PhaseState:
     """Symplectic Euler with implicit position, M fixed-point sweeps."""
-    _check_step(h)
-    _require_count("M", m)
-    q, p = state.q, state.p
-    qn = q
-    for n in range(m):
-        qn = q + h * model.grad_p(qn, p)
-        _check_finite(qn, f"position iterate {n + 1}")
-    pt = p - h * model.grad_q(qn, p)
+    qn = position_iterates(model, state, h, m)[-1]
+    pt = state.p - h * model.grad_q(qn, state.p)
     _check_finite(pt, "updated momentum")
     return PhaseState(qn, pt)
 
@@ -290,6 +278,23 @@ class Trajectory:
         return PhaseState.from_vector(self.states[i])
 
 
+def orbit(model, config: SchemeConfig, state: PhaseState, steps: int, stride: int = 1):
+    """Yield (k, z_k) at step 0, at every `stride`-th step and at the final step.
+
+    A failed step raises IntegrationError carrying its index.  The caller
+    validates `steps` and `stride` and may stop early by leaving its loop.
+    """
+    yield 0, state
+    current = state
+    for k in range(1, steps + 1):
+        try:
+            current = one_step(model, config, current)
+        except (ValueError, ArithmeticError) as exc:
+            raise IntegrationError(k, str(exc)) from exc
+        if k % stride == 0 or k == steps:
+            yield k, current
+
+
 def integrate(
     model,
     config: SchemeConfig,
@@ -310,22 +315,11 @@ def integrate(
     indices = []
     rows = []
     energies = [] if record_energy else None
-
-    def sample(k: int, st: PhaseState) -> None:
+    for k, current in orbit(model, config, state, steps, stride):
         indices.append(k)
-        rows.append(st.to_vector().astype(float))
+        rows.append(current.to_vector().astype(float))
         if energies is not None:
-            energies.append(model.energy(st))
-
-    current = state
-    sample(0, current)
-    for k in range(1, steps + 1):
-        try:
-            current = one_step(model, config, current)
-        except (ValueError, ArithmeticError) as exc:
-            raise IntegrationError(k, str(exc)) from exc
-        if k % stride == 0 or k == steps:
-            sample(k, current)
+            energies.append(model.energy(current))
     idx = np.array(indices, dtype=int)
     return Trajectory(
         step_indices=idx,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sympdefect.experiments import energy_drift_run
 from sympdefect.hamiltonians import quadratic_model
 from sympdefect.integrators import (
     IntegrationError,
@@ -285,11 +286,32 @@ def test_integrate_can_skip_energy(quad3, quad3_state):
     assert traj.energies is None
 
 
-def test_integrate_reports_failing_step(tokamak, tokamak_state):
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda model, config, state: integrate(model, config, state, steps=50, record_energy=False),
+        lambda model, config, state: energy_drift_run(model, [config], state, steps=50, stride=50),
+    ],
+    ids=["integrate", "energy_drift_run"],
+)
+def test_integrate_reports_failing_step(run, tokamak, tokamak_state):
     config = SchemeConfig(Scheme.Q_IMPLICIT, 1e3, M=2)
     with pytest.raises(IntegrationError) as err:
-        integrate(tokamak, config, tokamak_state, steps=50, record_energy=False)
+        run(tokamak, config, tokamak_state)
     assert err.value.step_index == 3
+
+
+@pytest.mark.parametrize(
+    "config",
+    [SchemeConfig(Scheme.LINEAR_IMPLICIT_EM, 0.25), SchemeConfig(Scheme.Q_IMPLICIT, 0.25, M=2)],
+    ids=["linear-implicit-em", "q-implicit-M2"],
+)
+def test_integrate_and_drift_run_sample_the_same_orbit(config, tokamak, tokamak_state):
+    traj = integrate(tokamak, config, tokamak_state, steps=300, stride=7)
+    (series,) = energy_drift_run(tokamak, [config], tokamak_state, steps=300, stride=7)
+    e0 = tokamak.energy(tokamak_state)
+    assert np.array_equal(series.errors, np.abs(traj.energies - e0))
+    assert np.array_equal(series.step_indices, traj.step_indices)
 
 
 def test_leapfrog_energy_error_stays_bounded(oscillator, oscillator_state):
