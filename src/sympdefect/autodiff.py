@@ -171,8 +171,8 @@ class CustomPrimitive:
     """Scalar function with a registered derivative.
 
     `evaluate` maps float -> float and may run arbitrary code (e.g. a
-    quadrature loop); `derivative` supplies d(evaluate)/dx directly, so the
-    inner loop is never differentiated.
+    branched closed form with a series loop); `derivative` supplies
+    d(evaluate)/dx directly, so that code is never differentiated.
     """
 
     evaluate: Callable[[float], float]

@@ -25,15 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import CustomPrimitive, jacobian, log, sqrt, value_of
-from .state import PhaseState
-
-# Fixed-order Gauss-Legendre rule for the field-profile integral F; order 32
-# leaves the relative quadrature error far below round-off for r up to ~R.
-GAUSS_ORDER = 32
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
-_NODES_PLUS_1 = _NODES + 1.0
-_QUAD_SCRATCH = np.empty(GAUSS_ORDER)
-_QUAD_SCRATCH2 = np.empty(GAUSS_ORDER)
+from .state import NonFiniteIterateError, PhaseState
 
 # Positions closer to the torus axis than this fraction of R are rejected
 # because the potential has a genuine singularity at rho = 0.
@@ -110,25 +102,45 @@ def field_profile(r, params: PhysicalParams):
 
 
 def F_integral(r: float, params: PhysicalParams) -> float:
-    """F(r) = integral of f from 0 to r, by fixed-order Gauss-Legendre.
+    """F(r) = integral of f from 0 to r, in closed form.
 
-    r is in the same length unit as params.R (meters).
+    r is in the same length unit as params.R (meters).  With x = a r,
+    g = x - log1p(x) and h4 = g - x^2/2 + x^3/3, the antiderivative is
+    a^4 R F = a^2 g + h4.  Both g and h4 cancel at small x, so where
+    |u| <= 1/2, u = x / (2 + x), they are expanded through
+    log1p(x) = 2 atanh(u) into g / x^2 and h4 / x^4, which are free of
+    cancellation, and R F = r^2 (g / x^2 + r^2 h4 / x^4) holds for any a,
+    a = 0 included.  For x > 2 the direct form is accurate to a few ulp.
     """
     r = float(r)
     if not math.isfinite(r) or r < 0:
         raise ValueError(f"radius must be finite and non-negative, got {r}")
-    if 1.0 + params.a * r <= 0:
+    a = params.a
+    x = a * r
+    if 1.0 + x <= 0:
         raise ValueError("field profile has a pole inside the integration range")
-    # In-place evaluation of f at the scaled nodes; this sits on the hot path
-    # of every tokamak field evaluation.
-    lam = np.multiply(_NODES_PLUS_1, 0.5 * r, out=_QUAD_SCRATCH)
-    num = np.multiply(lam, lam, out=_QUAD_SCRATCH2)
-    num += 1.0
-    num *= lam
-    lam *= params.a * params.R
-    lam += params.R
-    num /= lam
-    return 0.5 * r * float(num @ _WEIGHTS)
+    w = 1.0 / (2.0 + x)
+    u = x * w
+    if -0.5 <= u <= 0.5:
+        # s5 = sum_k u^(2k) / (2k + 5), the atanh series past its u^3 term
+        u2 = u * u
+        s5, power, k = 0.2, 1.0, 5.0
+        while True:
+            power *= u2
+            k += 2.0
+            s5_next = s5 + power / k
+            if s5_next == s5:
+                break
+            s5 = s5_next
+        w2 = w * w
+        tail = 2.0 * x * w2 * w
+        g_over_x2 = w - tail * (1.0 / 3.0 + u2 * s5)
+        h4_over_x4 = w * (6.0 - 3.0 * u + u2) / 12.0 - tail * w2 * s5
+        r2 = r * r
+        return r2 * (g_over_x2 + r2 * h4_over_x4) / params.R
+    a2 = a * a
+    total = (1.0 + a2) * (x - math.log1p(x)) + x * x * (x / 3.0 - 0.5)
+    return total / (a2 * a2 * params.R)
 
 
 class HamiltonianModel:
@@ -254,7 +266,8 @@ class TokamakModel(HamiltonianModel):
     Positions and momenta are in units of (L0, P0); the one-step maps see
     H(q, p) = |p - A(q)|^2 / 2 with A the scaled vector potential.  The
     flux integral F is a registered AD primitive whose derivative is the
-    field profile f, so differentiating a flow never walks the quadrature.
+    field profile f, so differentiating a flow never runs through F's
+    closed form, whose branches and series loop are exact only in value.
     """
 
     dim = 3
@@ -314,7 +327,7 @@ class TokamakModel(HamiltonianModel):
     def _float_potential(self, q: np.ndarray, with_jacobian: bool):
         """Plain-float twin of _si_potential for the time-stepping hot path.
 
-        Returned arrays are shared with the memo; callers must not mutate.
+        Returned arrays are shared with the memo and read-only.
         """
         key = q.tobytes()
         if key == self._memo_key and (self._memo_jac is not None or not with_jacobian):
@@ -331,13 +344,17 @@ class TokamakModel(HamiltonianModel):
             )
         dr = rho - big_r
         r = math.sqrt(dr * dr + z * z)
-        flux = F_integral(r, par)
+        # a diverging orbit overflows r, or F(r), while q itself is finite
+        flux = F_integral(r, par) if math.isfinite(r) else math.inf
+        if not math.isfinite(flux):
+            raise NonFiniteIterateError(f"field flux overflows at radius {r:g} m")
         w = flux / u
         inv_a0 = 1.0 / s.A0
         pot = np.empty(3)
         pot[0] = -b0 * y * w * inv_a0
         pot[1] = b0 * x * w * inv_a0
         pot[2] = -b0 * big_r * math.log(rho / big_r) * inv_a0
+        pot.setflags(write=False)
         if not with_jacobian:
             self._memo_key, self._memo_pot, self._memo_jac = key, pot, None
             return pot, None
@@ -357,6 +374,7 @@ class TokamakModel(HamiltonianModel):
         jac[2, 0] = -b0 * big_r * x / u * scale
         jac[2, 1] = -b0 * big_r * y / u * scale
         jac[2, 2] = 0.0
+        jac.setflags(write=False)
         self._memo_key, self._memo_pot, self._memo_jac = key, pot, jac
         return pot, jac
 

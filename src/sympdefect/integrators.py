@@ -18,11 +18,7 @@ import numpy as np
 
 from . import linalg
 from .hamiltonians import mixed_hessian
-from .state import PhaseState
-
-
-class NonFiniteIterateError(ValueError):
-    """A fixed-point iterate or updated state left the finite range."""
+from .state import NonFiniteIterateError, PhaseState
 
 
 class IntegrationError(RuntimeError):
@@ -83,8 +79,9 @@ def _check_step(h: float) -> None:
 
 def _check_finite(vec: np.ndarray, label: str) -> None:
     # dual-number paths are checked by the jacobian driver instead;
-    # a nan/inf component makes the sum non-finite, which is all we need
-    if vec.dtype != object and not math.isfinite(vec.sum()):
+    # a nan/inf component makes the sum non-finite, which is all we need,
+    # and a Python sum over tolist() costs a fraction of ndarray.sum on 3-vectors
+    if vec.dtype != object and not math.isfinite(sum(vec.tolist())):
         raise NonFiniteIterateError(f"non-finite {label}")
 
 

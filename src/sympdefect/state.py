@@ -1,10 +1,16 @@
-"""Phase-space state container shared by models, integrators and diagnostics."""
+"""Phase-space state container, and the error raised when a state leaves the
+finite range, shared by models, integrators and diagnostics."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+
+
+class NonFiniteIterateError(ValueError):
+    """A fixed-point iterate or updated state left the finite range, directly
+    or through a field evaluated at it."""
 
 
 @dataclass

@@ -19,7 +19,7 @@ from sympdefect.hamiltonians import (
     reference_initial_state_si,
     safety_factor,
 )
-from sympdefect.state import PhaseState
+from sympdefect.state import NonFiniteIterateError, PhaseState
 
 
 def test_params_reject_nonpositive_values():
@@ -89,6 +89,37 @@ def test_flux_integral_against_closed_form():
         np.testing.assert_allclose(F_integral(r, par), closed(r), rtol=1e-11)
     assert F_integral(0.0, par) == 0.0
     np.testing.assert_allclose(F_integral(1.0, par), 0.08940779444268854, rtol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "par, bound",
+    [
+        (PhysicalParams(), 1e-15),
+        (types.SimpleNamespace(R=5.0, a=0.25), 4e-15),
+        (types.SimpleNamespace(R=5.0, a=4.0), 4e-15),
+    ],
+    ids=["default", "a=0.25", "a=4"],
+)
+def test_flux_integral_against_mpmath_oracle(par, bound):
+    import mpmath
+
+    radii = list(np.geomspace(1e-10, par.R, 200))
+    # the closed form switches from the atanh expansion to the log1p form at a r = 2
+    switch = 2.0 / par.a
+    radii += [switch * (1.0 - 1e-12), np.nextafter(switch, 0.0), switch,
+              np.nextafter(switch, np.inf), switch * (1.0 + 1e-12)]
+    with mpmath.workdps(50):
+        big_r, shaping = mpmath.mpf(par.R), mpmath.mpf(par.a)
+
+        def integrand(t):
+            return (t + t**3) / (big_r * (1 + shaping * t))
+
+        worst = 0.0
+        for r in radii:
+            exact = mpmath.quad(integrand, [0, mpmath.mpf(float(r))])
+            rel = abs((mpmath.mpf(F_integral(r, par)) - exact) / exact)
+            worst = max(worst, float(rel))
+    assert worst <= bound
 
 
 def test_flux_integral_monotone():
@@ -232,6 +263,32 @@ def test_float_path_memoizes_repeated_positions():
     assert pot1 is pot2 and jac1 is jac2
     pot3, _ = model.potential_and_jacobian(q + 1e-3)
     assert pot3 is not pot1
+
+
+def test_float_path_memo_arrays_are_read_only():
+    model = TokamakModel()
+    q = reference_initial_state(model).q
+    pot, jac = model.potential_and_jacobian(q)
+    pot_before, jac_before = pot.copy(), jac.copy()
+    with pytest.raises(ValueError):
+        pot[0] = 1.0
+    with pytest.raises(ValueError):
+        jac[1, 2] = 1.0
+    with pytest.raises(ValueError):
+        jac.T[0] += 1.0
+    pot_again, jac_again = model.potential_and_jacobian(q)
+    assert np.array_equal(pot_again, pot_before)
+    assert np.array_equal(jac_again, jac_before)
+    moved = model.vector_potential(q + 1e-3)
+    with pytest.raises(ValueError):
+        moved[2] = 0.0
+
+
+@pytest.mark.parametrize("x", [1e110, 1e200], ids=["flux-overflow", "radius-overflow"])
+def test_float_path_rejects_overflowing_field_radius(tokamak, x):
+    # at 1e110 the radius is finite but F(r) overflows; at 1e200 r itself does
+    with pytest.raises(NonFiniteIterateError, match="radius"):
+        tokamak.potential_and_jacobian(np.array([x, 0.0, 0.0]))
 
 
 def test_float_path_matches_generic_path(tokamak, tokamak_state):

@@ -1,10 +1,15 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
+from sympdefect.autodiff import seeded_vector
 from sympdefect.experiments import energy_drift_run
 from sympdefect.hamiltonians import quadratic_model
 from sympdefect.integrators import (
     IntegrationError,
+    NonFiniteIterateError,
     Scheme,
     SchemeConfig,
     exact_se_quadratic,
@@ -19,6 +24,7 @@ from sympdefect.integrators import (
     step_sv_pq_direct,
     step_sv_qp,
     step_sv_qp_direct,
+    _check_finite,
 )
 from sympdefect.state import PhaseState
 
@@ -299,6 +305,39 @@ def test_integrate_reports_failing_step(run, tokamak, tokamak_state):
     with pytest.raises(IntegrationError) as err:
         run(tokamak, config, tokamak_state)
     assert err.value.step_index == 3
+
+
+@pytest.mark.parametrize(
+    "config",
+    [SchemeConfig(Scheme.Q_IMPLICIT, 0.25, M=1), SchemeConfig(Scheme.SV_PQ, 0.25, M1=1, M2=3)],
+    ids=["q-implicit-M1", "sv-pq-M1-1-M2-3"],
+)
+def test_diverging_tokamak_orbit_fails_as_non_finite_iterate(config, tokamak, tokamak_state):
+    # both orbits leave the device within 1e4 steps; the field radius then
+    # overflows while the position is still finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError) as err:
+            integrate(tokamak, config, tokamak_state, steps=20_000, stride=20_000,
+                      record_energy=False)
+    assert err.value.step_index > 0
+    assert isinstance(err.value.__cause__, NonFiniteIterateError)
+
+
+@pytest.mark.parametrize("n", [3, 8])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_check_finite_rejects_any_non_finite_component(n, bad):
+    for i in range(n):
+        vec = np.linspace(-2.0, 3.0, n)
+        vec[i] = bad
+        with pytest.raises(NonFiniteIterateError, match="non-finite position iterate 2"):
+            _check_finite(vec, "position iterate 2")
+
+
+def test_check_finite_passes_finite_and_dual_vectors():
+    _check_finite(np.linspace(-2.0, 3.0, 3), "updated momentum")
+    _check_finite(np.linspace(-2.0, 3.0, 8), "updated momentum")
+    _check_finite(seeded_vector(np.array([0.1, -0.2, 0.3])), "updated momentum")
 
 
 @pytest.mark.parametrize(
