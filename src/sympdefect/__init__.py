@@ -7,6 +7,7 @@ from .autodiff import (
     NonFiniteError,
     finite_difference_jacobian,
     jacobian,
+    solve,
 )
 from .defect import (
     DefectReport,
@@ -75,12 +76,9 @@ from .integrators import (
     step_sv_qp_direct,
 )
 from .linalg import (
-    SingularMatrixError,
     bracket,
     determinant,
     frobenius_norm,
-    lu_factor,
-    lu_solve,
     mat_pow,
     skew_part,
     symplectic_matrix,

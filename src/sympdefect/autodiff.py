@@ -185,6 +185,55 @@ class CustomPrimitive:
         return self.evaluate(x)
 
 
+def _split_tangents(a: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Values (shape of a) and tangents (that shape + (width,)) of a dual array;
+    plain numbers are constants with zero tangent."""
+    entries = a.ravel().tolist()
+    zero = np.zeros(width)
+    values = np.array([_value_of(e) for e in entries]).reshape(a.shape)
+    tangents = np.array([e.grad if isinstance(e, Dual) else zero for e in entries])
+    return values, tangents.reshape(a.shape + (width,))
+
+
+def _require_finite(a: np.ndarray) -> None:
+    # a Python sum over tolist() is the cheap test on small matrices; it
+    # also overflows for large finite entries, so np.isfinite confirms
+    if not math.isfinite(sum(a.ravel().tolist())) and not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
+
+
+def solve(a, b) -> np.ndarray:
+    """Solve a x = b for a vector or matrix b, through duals in a or b.
+
+    Float input goes straight to ``np.linalg.solve`` (LAPACK's LU with
+    partial pivoting).  When either operand is an object array of duals,
+    one float solve gives the values x and a second solve with the same
+    matrix gives the tangents by the rule dx = A^-1 (db - dA x); no
+    elimination runs on duals.  A singular matrix raises
+    ``np.linalg.LinAlgError`` (a ValueError), and non-finite matrix
+    entries raise ValueError, because LAPACK would return nan silently.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.dtype != object and b.dtype != object:
+        _require_finite(a)
+        return np.linalg.solve(a, b)
+    entries = a.ravel().tolist() + b.ravel().tolist()
+    width = next((e.width for e in entries if isinstance(e, Dual)), None)
+    if width is None:
+        return solve(a.astype(float), b.astype(float))
+    a_value, a_tangent = _split_tangents(a, width)
+    b_value, b_tangent = _split_tangents(b, width)
+    _require_finite(a_value)
+    x = np.linalg.solve(a_value, b_value)
+    rhs = b_tangent - np.einsum("ijw,j...->i...w", a_tangent, x)
+    dx = np.linalg.solve(a_value, rhs.reshape(len(rhs), -1)).reshape(rhs.shape)
+    out = np.empty(x.shape, dtype=object)
+    for index in np.ndindex(x.shape):
+        out[index] = Dual(x[index], dx[index])
+    return out
+
+
 def seeded_vector(x: np.ndarray) -> np.ndarray:
     """Object array of duals seeding one unit direction per component."""
     x = np.asarray(x, dtype=float)

@@ -15,6 +15,8 @@ coupled kinetic energy H = |p - A(q)|^2 / 2.
 
 All model callables accept float arrays or object arrays of dual numbers,
 so flows built on them can be differentiated by forward-mode AD unchanged.
+The tokamak potential is one body for both: it picks float or dual
+primitives once per call and otherwise runs the same operations.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import CustomPrimitive, jacobian, log, sqrt, value_of
+from . import autodiff
+from .autodiff import CustomPrimitive, jacobian, value_of
 from .state import NonFiniteIterateError, PhaseState
 
 # Positions closer to the torus axis than this fraction of R are rejected
@@ -268,6 +271,10 @@ class TokamakModel(HamiltonianModel):
     flux integral F is a registered AD primitive whose derivative is the
     field profile f, so differentiating a flow never runs through F's
     closed form, whose branches and series loop are exact only in value.
+    Float and dual positions share one potential body, so the AD Jacobian
+    differentiates exactly the arithmetic of the float step; a position
+    whose radius r or flux F(r) overflows raises NonFiniteIterateError on
+    both.
     """
 
     dim = 3
@@ -292,106 +299,73 @@ class TokamakModel(HamiltonianModel):
     def _flux_slope(self, r: float) -> float:
         return field_profile(r, self.params)
 
-    def _si_potential(self, x, y, z, with_jacobian: bool):
-        """Vector potential (and optionally its position Jacobian) in SI."""
-        par = self.params
-        b0, big_r, a = par.B0, par.R, par.a
-        u = x * x + y * y
-        rho = sqrt(u)
-        if value_of(rho) <= AXIS_TOLERANCE * big_r:
-            raise AxisSingularityError(
-                f"position is within {AXIS_TOLERANCE:g} R of the torus axis"
-            )
-        dr = rho - big_r
-        r = sqrt(dr * dr + z * z)
-        flux = self._flux(r)
-        w = flux / u
-        ax = -b0 * y * w
-        ay = b0 * x * w
-        az = -b0 * big_r * log(rho / big_r)
-        if not with_jacobian:
-            return (ax, ay, az), None
-        # g = f(r)/r stays finite on the magnetic axis circle r = 0
-        g = (1.0 + r * r) / (big_r * (1.0 + a * r))
-        c = (g * dr / rho - 2.0 * w) / u
-        wx = x * c
-        wy = y * c
-        wz = g * z / u
-        jac = (
-            (-b0 * y * wx, -b0 * (w + y * wy), -b0 * y * wz),
-            (b0 * (w + x * wx), b0 * x * wy, b0 * x * wz),
-            (-b0 * big_r * x / u, -b0 * big_r * y / u, 0.0),
-        )
-        return (ax, ay, az), jac
+    def potential_and_jacobian(self, q: np.ndarray, with_jacobian: bool = True):
+        """Dimensionless A(q) and optionally its Jacobian dA/dq.
 
-    def _float_potential(self, q: np.ndarray, with_jacobian: bool):
-        """Plain-float twin of _si_potential for the time-stepping hot path.
-
-        Returned arrays are shared with the memo and read-only.
+        One body serves float arrays and object arrays of duals: only the
+        primitives differ (math.sqrt/log and F_integral for floats, their
+        dual forms and the registered flux primitive for duals), so both
+        run the same operations in the same order.  The arrays returned are
+        read-only.  Float results are memoised for one position; object
+        arrays bypass the memo, since their bytes are pointers, not values.
         """
-        key = q.tobytes()
-        if key == self._memo_key and (self._memo_jac is not None or not with_jacobian):
-            return self._memo_pot, (self._memo_jac if with_jacobian else None)
+        dual = q.dtype == object
+        if dual:
+            sqrt, log = autodiff.sqrt, autodiff.log
+        else:
+            key = q.tobytes()
+            if key == self._memo_key and (self._memo_jac is not None or not with_jacobian):
+                return self._memo_pot, (self._memo_jac if with_jacobian else None)
+            sqrt, log = math.sqrt, math.log
         par = self.params
         b0, big_r, a = par.B0, par.R, par.a
         s = self.scales
-        x, y, z = float(q[0]) * s.L0, float(q[1]) * s.L0, float(q[2]) * s.L0
+        x, y, z = q.tolist()
+        x, y, z = x * s.L0, y * s.L0, z * s.L0
         u = x * x + y * y
-        rho = math.sqrt(u)
+        rho = sqrt(u)
         if rho <= AXIS_TOLERANCE * big_r:
             raise AxisSingularityError(
                 f"position is within {AXIS_TOLERANCE:g} R of the torus axis"
             )
         dr = rho - big_r
-        r = math.sqrt(dr * dr + z * z)
-        # a diverging orbit overflows r, or F(r), while q itself is finite
-        flux = F_integral(r, par) if math.isfinite(r) else math.inf
-        if not math.isfinite(flux):
-            raise NonFiniteIterateError(f"field flux overflows at radius {r:g} m")
+        r = sqrt(dr * dr + z * z)
+        # a diverging orbit overflows r, or F(r), while q itself is finite;
+        # comparisons act on dual values, and any comparison with nan fails
+        if not r < math.inf:
+            flux = math.inf
+        elif dual:
+            flux = self._flux(r)
+        else:
+            flux = F_integral(r, par)
+        if not flux < math.inf:
+            raise NonFiniteIterateError(f"field flux overflows at radius {value_of(r):g} m")
         w = flux / u
         inv_a0 = 1.0 / s.A0
-        pot = np.empty(3)
-        pot[0] = -b0 * y * w * inv_a0
-        pot[1] = b0 * x * w * inv_a0
-        pot[2] = -b0 * big_r * math.log(rho / big_r) * inv_a0
+        pot = np.array([
+            -b0 * y * w * inv_a0,
+            b0 * x * w * inv_a0,
+            -b0 * big_r * log(rho / big_r) * inv_a0,
+        ])
         pot.setflags(write=False)
-        if not with_jacobian:
-            self._memo_key, self._memo_pot, self._memo_jac = key, pot, None
-            return pot, None
-        g = (1.0 + r * r) / (big_r * (1.0 + a * r))
-        c = (g * dr / rho - 2.0 * w) / u
-        wx = x * c
-        wy = y * c
-        wz = g * z / u
-        scale = s.L0 / s.A0
-        jac = np.empty((3, 3))
-        jac[0, 0] = -b0 * y * wx * scale
-        jac[0, 1] = -b0 * (w + y * wy) * scale
-        jac[0, 2] = -b0 * y * wz * scale
-        jac[1, 0] = b0 * (w + x * wx) * scale
-        jac[1, 1] = b0 * x * wy * scale
-        jac[1, 2] = b0 * x * wz * scale
-        jac[2, 0] = -b0 * big_r * x / u * scale
-        jac[2, 1] = -b0 * big_r * y / u * scale
-        jac[2, 2] = 0.0
-        jac.setflags(write=False)
-        self._memo_key, self._memo_pot, self._memo_jac = key, pot, jac
+        jac = None
+        if with_jacobian:
+            # g = f(r)/r stays finite on the magnetic axis circle r = 0
+            g = (1.0 + r * r) / (big_r * (1.0 + a * r))
+            c = (g * dr / rho - 2.0 * w) / u
+            wx = x * c
+            wy = y * c
+            wz = g * z / u
+            scale = s.L0 / s.A0
+            jac = np.array([
+                -b0 * y * wx * scale, -b0 * (w + y * wy) * scale, -b0 * y * wz * scale,
+                b0 * (w + x * wx) * scale, b0 * x * wy * scale, b0 * x * wz * scale,
+                -b0 * big_r * x / u * scale, -b0 * big_r * y / u * scale, 0.0,
+            ]).reshape(3, 3)
+            jac.setflags(write=False)
+        if not dual:
+            self._memo_key, self._memo_pot, self._memo_jac = key, pot, jac
         return pot, jac
-
-    def potential_and_jacobian(self, q: np.ndarray, with_jacobian: bool = True):
-        """Dimensionless A(q) and optionally its Jacobian dA/dq."""
-        if q.dtype != object:
-            return self._float_potential(q, with_jacobian)
-        s = self.scales
-        x, y, z = q[0] * s.L0, q[1] * s.L0, q[2] * s.L0
-        (ax, ay, az), jac = self._si_potential(x, y, z, with_jacobian)
-        inv_a0 = 1.0 / s.A0
-        pot = np.array([ax * inv_a0, ay * inv_a0, az * inv_a0])
-        if jac is None:
-            return pot, None
-        scale = s.L0 / s.A0
-        rows = [[jac[i][j] * scale for j in range(3)] for i in range(3)]
-        return pot, np.array(rows)
 
     def vector_potential(self, q: np.ndarray) -> np.ndarray:
         return self.potential_and_jacobian(q, with_jacobian=False)[0]

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import linalg
+from .autodiff import solve
 from .hamiltonians import mixed_hessian
 from .state import NonFiniteIterateError, PhaseState
 
@@ -78,10 +78,10 @@ def _check_step(h: float) -> None:
 
 
 def _check_finite(vec: np.ndarray, label: str) -> None:
-    # dual-number paths are checked by the jacobian driver instead;
-    # a nan/inf component makes the sum non-finite, which is all we need,
-    # and a Python sum over tolist() costs a fraction of ndarray.sum on 3-vectors
-    if vec.dtype != object and not math.isfinite(sum(vec.tolist())):
+    # dual-number paths are checked by the jacobian driver instead; a Python
+    # sum over tolist() costs a fraction of ndarray.sum on 3-vectors and is
+    # non-finite whenever a component is, or when large finite ones overflow
+    if vec.dtype != object and not (math.isfinite(sum(vec.tolist())) or np.isfinite(vec).all()):
         raise NonFiniteIterateError(f"non-finite {label}")
 
 
@@ -202,13 +202,7 @@ def step_linear_implicit_em(model, state: PhaseState, h: float) -> PhaseState:
     pot, jac = model.potential_and_jacobian(q)
     lhs = np.eye(model.dim) - h * jac.T
     rhs = p - h * (jac.T @ pot)
-    if lhs.dtype != object and rhs.dtype != object:
-        try:
-            pt = np.linalg.solve(lhs, rhs)
-        except np.linalg.LinAlgError:
-            pt = linalg.lu_solve(lhs, rhs)
-    else:
-        pt = linalg.lu_solve(lhs, rhs)
+    pt = solve(lhs, rhs)
     _check_finite(pt, "updated momentum")
     qt = q + h * (pt - pot)
     _check_finite(qt, "updated position")
@@ -218,7 +212,7 @@ def step_linear_implicit_em(model, state: PhaseState, h: float) -> PhaseState:
 def exact_se_quadratic(state: PhaseState, h: float, variant: str = "p") -> PhaseState:
     """Exactly solved symplectic Euler step for :class:`QuadraticModel`.
 
-    The implicit relation is linear there, so one LU solve replaces the
+    The implicit relation is linear there, so one linear solve replaces the
     fixed-point sweeps; this is the M -> infinity reference map.
     """
     _check_step(h)
@@ -229,13 +223,13 @@ def exact_se_quadratic(state: PhaseState, h: float, variant: str = "p") -> Phase
     q, p = state.q, state.p
     eye = np.eye(n)
     if variant == "p":
-        pt = linalg.lu_solve(eye + h * coupling, p - h * q)
+        pt = solve(eye + h * coupling, p - h * q)
         qt = q + h * (pt + coupling.T @ q)
     else:
-        qt = linalg.lu_solve(eye - h * coupling.T, q + h * p)
+        qt = solve(eye - h * coupling.T, q + h * p)
         pt = p - h * (qt + coupling @ p)
-    _check_finite(np.asarray(pt), "updated momentum")
-    _check_finite(np.asarray(qt), "updated position")
+    _check_finite(pt, "updated momentum")
+    _check_finite(qt, "updated position")
     return PhaseState(qt, pt)
 
 

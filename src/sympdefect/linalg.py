@@ -1,41 +1,14 @@
 """Dense linear algebra for small phase-space matrices.
 
-Everything here operates on plain numpy arrays.  The LU routines also accept
-object-dtype matrices whose entries are dual numbers; pivoting then uses the
-value part only, so solving a linear system stays differentiable.
+Everything here operates on plain numpy arrays.  The linear solve, which
+must also carry dual numbers, is :func:`sympdefect.autodiff.solve`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Relative pivot tolerance: a pivot smaller than this times the Frobenius
-# norm of the input counts as singular.
-PIVOT_TOLERANCE = 1e-14
-
 MAX_POWER = 64
-
-
-class SingularMatrixError(ValueError):
-    """Raised when elimination meets a pivot below tolerance."""
-
-    def __init__(self, pivot_index: int, pivot_value: float, tolerance: float):
-        self.pivot_index = pivot_index
-        super().__init__(
-            f"matrix is singular to tolerance: pivot {pivot_index} has "
-            f"|value| {pivot_value:.3e} <= {tolerance:.3e}"
-        )
-
-
-def _value(x) -> float:
-    """Value part of a float or dual entry."""
-    return float(getattr(x, "value", x))
-
-
-def _values_of(a: np.ndarray) -> np.ndarray:
-    if a.dtype == object:
-        return np.array([[_value(x) for x in row] for row in a], dtype=float)
-    return a.astype(float, copy=True)
 
 
 def _check_square(a: np.ndarray, name: str = "matrix") -> int:
@@ -74,64 +47,6 @@ def symplectic_matrix(n: int) -> np.ndarray:
 
 def frobenius_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=float)))
-
-
-def lu_factor(a: np.ndarray, tolerance: float = PIVOT_TOLERANCE):
-    """Partial-pivot LU factorization, generic over float and dual entries.
-
-    Returns (lu, perm, sign): lu packs L (unit lower) and U, perm is the row
-    permutation applied to the input, sign the permutation parity.
-    """
-    n = _check_square(a)
-    a = np.asarray(a)
-    lu = a.copy() if a.dtype == object else a.astype(float, copy=True)
-    values = _values_of(lu)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("matrix has non-finite entries")
-    tol = tolerance * float(np.linalg.norm(values))
-    perm = np.arange(n)
-    sign = 1.0
-    for k in range(n):
-        pivot_row = k + int(np.argmax(np.abs(values[k:, k])))
-        pivot = abs(values[pivot_row, k])
-        if pivot <= tol:
-            raise SingularMatrixError(k, pivot, tol)
-        if pivot_row != k:
-            lu[[k, pivot_row]] = lu[[pivot_row, k]]
-            values[[k, pivot_row]] = values[[pivot_row, k]]
-            perm[[k, pivot_row]] = perm[[pivot_row, k]]
-            sign = -sign
-        for i in range(k + 1, n):
-            m = lu[i, k] / lu[k, k]
-            lu[i, k] = m
-            if k + 1 < n:
-                lu[i, k + 1 :] = lu[i, k + 1 :] - m * lu[k, k + 1 :]
-                if lu.dtype == object:
-                    values[i, k + 1 :] = [_value(x) for x in lu[i, k + 1 :]]
-                else:
-                    values[i, k + 1 :] = lu[i, k + 1 :]
-    return lu, perm, sign
-
-
-def lu_solve(a: np.ndarray, b: np.ndarray, tolerance: float = PIVOT_TOLERANCE) -> np.ndarray:
-    """Solve a x = b by LU with partial pivoting; b is a vector or matrix."""
-    lu, perm, _ = lu_factor(a, tolerance)
-    n = lu.shape[0]
-    b = np.asarray(b)
-    if b.shape[0] != n:
-        raise ValueError(f"right-hand side has {b.shape[0]} rows, expected {n}")
-    if lu.dtype == object or b.dtype == object:
-        x = np.empty(b.shape, dtype=object)
-        x[...] = b[perm]
-    else:
-        x = b[perm].astype(float, copy=True)
-    for k in range(1, n):
-        x[k] = x[k] - lu[k, :k] @ x[:k]
-    for k in range(n - 1, -1, -1):
-        if k + 1 < n:
-            x[k] = x[k] - lu[k, k + 1 :] @ x[k + 1 :]
-        x[k] = x[k] / lu[k, k]
-    return x
 
 
 def determinant(a: np.ndarray) -> float:

@@ -167,3 +167,34 @@ def test_fd_route_respects_custom_step(quad3, quad3_state):
     # the map is quadratic in the state only through H, here linear: both agree
     assert np.max(np.abs(coarse - exact)) <= 1e-9
     assert np.max(np.abs(fine - exact)) <= 1e-9
+
+
+@pytest.mark.parametrize("h", [0.05, 0.25])
+def test_linear_implicit_ad_matches_finite_differences(tokamak, tokamak_state, h):
+    # AD runs through the tangent rule of the linear solve
+    config = SchemeConfig(Scheme.LINEAR_IMPLICIT_EM, h)
+    ad = flow_jacobian_ad(tokamak, config, tokamak_state)
+    fd = flow_jacobian_fd(tokamak, config, tokamak_state)
+    assert np.linalg.norm(ad - fd) / np.linalg.norm(ad) <= 1e-5
+
+
+@pytest.mark.parametrize("variant", ["p", "q"])
+@pytest.mark.parametrize("h", [0.05, 0.25])
+def test_exact_quadratic_ad_matches_closed_form(quad3, quad3_state, variant, h):
+    n = 3
+    c = mixed_hessian(n)
+    eye = np.eye(n)
+    if variant == "p":
+        # p~ = (I + hC)^-1 (p - h q),  q~ = q + h (p~ + C^T q)
+        inv = np.linalg.inv(eye + h * c)
+        dp = np.hstack([-h * inv, inv])
+        dq = np.hstack([eye + h * c.T, np.zeros((n, n))]) + h * dp
+    else:
+        # q~ = (I - hC^T)^-1 (q + h p),  p~ = p - h (q~ + C p)
+        inv = np.linalg.inv(eye - h * c.T)
+        dq = np.hstack([inv, h * inv])
+        dp = np.hstack([np.zeros((n, n)), eye - h * c]) - h * dq
+    exact = np.vstack([dq, dp])
+    config = SchemeConfig(Scheme.EXACT_QUADRATIC, h, variant=variant)
+    ad = flow_jacobian_ad(quad3, config, quad3_state)
+    assert np.max(np.abs(ad - exact)) <= 1e-13

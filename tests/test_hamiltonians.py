@@ -284,11 +284,20 @@ def test_float_path_memo_arrays_are_read_only():
         moved[2] = 0.0
 
 
-@pytest.mark.parametrize("x", [1e110, 1e200], ids=["flux-overflow", "radius-overflow"])
-def test_float_path_rejects_overflowing_field_radius(tokamak, x):
-    # at 1e110 the radius is finite but F(r) overflows; at 1e200 r itself does
+def _dual_constants(q):
+    return np.array([Dual.constant(v, 1) for v in q], dtype=object)
+
+
+@pytest.mark.parametrize(
+    "x, as_input",
+    [(1e110, np.asarray), (1e200, np.asarray), (1e110, _dual_constants), (1e200, _dual_constants)],
+    ids=["flux-overflow", "radius-overflow", "flux-overflow-dual", "radius-overflow-dual"],
+)
+def test_float_path_rejects_overflowing_field_radius(tokamak, x, as_input):
+    # at 1e110 the radius is finite but F(r) overflows; at 1e200 r itself does;
+    # float and dual positions run the same body, so both must raise
     with pytest.raises(NonFiniteIterateError, match="radius"):
-        tokamak.potential_and_jacobian(np.array([x, 0.0, 0.0]))
+        tokamak.potential_and_jacobian(as_input(np.array([x, 0.0, 0.0])))
 
 
 def test_float_path_matches_generic_path(tokamak, tokamak_state):

@@ -338,6 +338,8 @@ def test_check_finite_passes_finite_and_dual_vectors():
     _check_finite(np.linspace(-2.0, 3.0, 3), "updated momentum")
     _check_finite(np.linspace(-2.0, 3.0, 8), "updated momentum")
     _check_finite(seeded_vector(np.array([0.1, -0.2, 0.3])), "updated momentum")
+    # finite, though the sum of its components overflows
+    _check_finite(np.array([1e308, 1e308, 0.0]), "position iterate 1")
 
 
 @pytest.mark.parametrize(

@@ -5,13 +5,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sympdefect import linalg
-from sympdefect.autodiff import Dual
+from sympdefect.autodiff import Dual, solve
 from sympdefect.linalg import (
-    SingularMatrixError,
     bracket,
     determinant,
     frobenius_norm,
-    lu_solve,
     mat_pow,
     skew_part,
     symplectic_matrix,
@@ -98,13 +96,17 @@ def test_symplectic_matrix_rejects_nonpositive():
         symplectic_matrix(0)
 
 
+# The LU tests below exercise autodiff.solve, which is LAPACK's LU with
+# partial pivoting for the values and a tangent solve for dual entries.
+
+
 def test_lu_solve_identity():
     b = np.array([1.0, -2.0, 3.5])
-    assert np.array_equal(lu_solve(np.eye(3), b), b)
+    assert np.array_equal(solve(np.eye(3), b), b)
 
 
 def test_lu_solve_diagonal():
-    x = lu_solve(2.0 * np.eye(2), np.array([4.0, 6.0]))
+    x = solve(2.0 * np.eye(2), np.array([4.0, 6.0]))
     assert np.array_equal(x, np.array([2.0, 3.0]))
 
 
@@ -112,7 +114,7 @@ def test_lu_solve_residual_on_random_system():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((6, 6)) + 6.0 * np.eye(6)
     b = rng.standard_normal(6)
-    x = lu_solve(a, b)
+    x = solve(a, b)
     assert np.linalg.norm(a @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
@@ -120,22 +122,27 @@ def test_lu_solve_matrix_right_hand_side():
     rng = np.random.default_rng(8)
     a = rng.standard_normal((4, 4)) + 4.0 * np.eye(4)
     b = rng.standard_normal((4, 3))
-    x = lu_solve(a, b)
+    x = solve(a, b)
     assert np.linalg.norm(a @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
 def test_lu_solve_reports_singular_pivot():
     a = np.array([[1.0, 2.0], [2.0, 4.0]])
-    with pytest.raises(SingularMatrixError) as err:
-        lu_solve(a, np.array([1.0, 1.0]))
-    assert err.value.pivot_index == 1
-    assert "pivot" in str(err.value)
+    with pytest.raises(np.linalg.LinAlgError):
+        solve(a, np.array([1.0, 1.0]))
 
 
 def test_lu_solve_rejects_nonfinite():
     a = np.array([[1.0, np.nan], [0.0, 1.0]])
     with pytest.raises(ValueError):
-        lu_solve(a, np.array([1.0, 1.0]))
+        solve(a, np.array([1.0, 1.0]))
+    # the dual path checks the matrix values as well
+    with pytest.raises(ValueError):
+        solve(a.astype(object), np.array([Dual.seed(1.0, 0, 1), 1.0], dtype=object))
+
+
+def _value_and_slope(x):
+    return np.array([xi.value for xi in x]), np.array([xi.grad[0] for xi in x])
 
 
 def test_lu_solve_propagates_dual_entries():
@@ -148,13 +155,41 @@ def test_lu_solve_propagates_dual_entries():
     for i in range(2):
         for j in range(2):
             a[i, j] = Dual.constant(a0[i, j], 1) + t * e[i, j]
-    x = lu_solve(a, b.astype(object))
+    x = solve(a, b.astype(object))
     x0 = np.linalg.solve(a0, b)
     expected = -np.linalg.solve(a0, e @ x0)
-    got_value = np.array([xi.value for xi in x])
-    got_grad = np.array([xi.grad[0] for xi in x])
+    got_value, got_grad = _value_and_slope(x)
     np.testing.assert_allclose(got_value, x0, rtol=1e-14)
     np.testing.assert_allclose(got_grad, expected, rtol=1e-12)
+
+
+def test_solve_float_matrix_with_dual_right_hand_side():
+    # d/dt of solve(A x = b + t d) is A^{-1} d
+    a0 = np.array([[4.0, -1.0, 0.5], [1.0, 3.0, 0.0], [0.0, 2.0, 5.0]])
+    b = np.array([1.0, 2.0, -1.0])
+    d = np.array([0.5, -1.0, 2.0])
+    t = Dual.seed(0.0, 0, 1)
+    x = solve(a0, np.array([bi + t * di for bi, di in zip(b, d)], dtype=object))
+    got_value, got_grad = _value_and_slope(x)
+    np.testing.assert_allclose(got_value, np.linalg.solve(a0, b), rtol=1e-14)
+    np.testing.assert_allclose(got_grad, np.linalg.solve(a0, d), rtol=1e-12)
+
+
+def test_solve_dual_matrix_mixing_constants_and_duals():
+    # plain-number entries are constants; only the dual entries carry E
+    a0 = np.array([[3.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 4.0]])
+    e = np.zeros((3, 3))
+    e[0, 1], e[2, 2] = 1.0, -2.0
+    b = np.array([1.0, -1.0, 0.5])
+    t = Dual.seed(0.0, 0, 1)
+    a = a0.astype(object)
+    a[0, 1] = a0[0, 1] + t * e[0, 1]
+    a[2, 2] = a0[2, 2] + t * e[2, 2]
+    x = solve(a, b)
+    x0 = np.linalg.solve(a0, b)
+    got_value, got_grad = _value_and_slope(x)
+    np.testing.assert_allclose(got_value, x0, rtol=1e-14)
+    np.testing.assert_allclose(got_grad, -np.linalg.solve(a0, e @ x0), rtol=1e-12)
 
 
 def test_determinant_identity():
