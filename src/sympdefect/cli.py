@@ -2,7 +2,9 @@
 
 Subcommands cover trajectory integration, defect sweeps, structure-matrix
 inspection, energy drift, the closed-form oracle comparison, composition
-block orders, volume defects and a built-in selftest.  Settings resolve in
+block orders, volume defects and a selftest that prints the gate lines of
+acceptance criteria 1-9 and 11 from `sympdefect.checks` (criterion 10, a
+long drift run, needs pytest or energy-drift).  Settings resolve in
 three layers: built-in defaults, then `key = value` lines from --config,
 then explicit flags.  CSV output goes to --out (default stdout) with floats
 at 17 significant digits; summary tables go to the terminal.
@@ -18,7 +20,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .defect import analyze, defect_report, flow_jacobian_ad
+from . import checks
+from .defect import analyze
 from .experiments import (
     default_h_grid,
     defect_sweep,
@@ -32,7 +35,6 @@ from .hamiltonians import (
     tokamak_model,
 )
 from .integrators import Scheme, SchemeConfig, integrate
-from .quadratic_oracle import predicted_defect_blocks
 from .state import PhaseState
 
 HAMILTONIANS = ("tokamak", "quadratic", "harmonic")
@@ -141,7 +143,7 @@ def _validate(cfg: RunConfig) -> None:
         value = getattr(cfg, name)
         if value is not None and value < 1:
             raise ConfigError(f"{name} must be >= 1, got {value}")
-    if cfg.n is not None and cfg.n < 2 and (cfg.hamiltonian in (None, "quadratic")):
+    if cfg.n is not None and cfg.n < 2:
         raise ConfigError(f"n must be >= 2 for the quadratic model, got {cfg.n}")
     for name in _FLOAT_KEYS:
         value = getattr(cfg, name)
@@ -354,30 +356,20 @@ def cmd_energy_drift(cfg: RunConfig) -> int:
 
 
 def cmd_optimality(cfg: RunConfig) -> int:
-    n_values = [cfg.n] if cfg.n is not None else [2, 3, 5]
-    m_values = [cfg.m] if cfg.m is not None else [1, 2, 3]
-    h_values = [cfg.h] if cfg.h is not None else [0.1, 0.01]
     rows = []
     worst = 0.0
-    for n in n_values:
-        model = quadratic_model(n)
-        state = PhaseState(np.zeros(n), np.zeros(n))
-        for m in m_values:
-            for h in h_values:
-                config = SchemeConfig(Scheme.P_IMPLICIT, h, M=m)
-                report = analyze(model, config, state)
-                diag_pred, anti_pred = predicted_defect_blocks(n, m, h)
-                diag_scale = np.linalg.norm(diag_pred)
-                if diag_scale == 0.0:
-                    # the closed form can predict an identically zero block
-                    # (N=2, even M); compare round-off against the full matrix
-                    diag_scale = np.linalg.norm(report.structure)
-                diag_err = np.linalg.norm(report.diag_q - diag_pred) / diag_scale
-                anti_err = np.linalg.norm(report.antidiag - anti_pred) / np.linalg.norm(
-                    anti_pred
-                )
-                worst = max(worst, diag_err, anti_err)
-                rows.append([n, m, h, float(diag_err), float(anti_err)])
+    for n, m, h, report, diag_pred, anti_pred in checks.closed_form_cases(
+        [cfg.n] if cfg.n is not None else [2, 3, 5],
+        [cfg.m] if cfg.m is not None else [1, 2, 3],
+        [cfg.h] if cfg.h is not None else [0.1, 0.01],
+    ):
+        # the closed form can predict an identically zero block (N=2, even
+        # M); compare round-off against the full matrix
+        diag_scale = np.linalg.norm(diag_pred) or np.linalg.norm(report.structure)
+        diag_err = np.linalg.norm(report.diag_q - diag_pred) / diag_scale
+        anti_err = np.linalg.norm(report.antidiag - anti_pred) / np.linalg.norm(anti_pred)
+        worst = max(worst, diag_err, anti_err)
+        rows.append([n, m, h, float(diag_err), float(anti_err)])
     _write_csv(cfg.out, ["N", "M", "h", "diag_rel_err", "antidiag_rel_err"], rows)
     _summary(cfg, f"max relative error vs closed form: {worst:.3e}")
     return 0
@@ -439,94 +431,13 @@ def cmd_volume(cfg: RunConfig) -> int:
 
 
 def cmd_selftest(cfg: RunConfig) -> int:
-    from . import linalg
-    from .defect import coordinate_swap_check
-    from .integrators import (
-        step_sv_pq, step_sv_pq_direct, step_sv_qp, step_sv_qp_direct,
-    )
-
-    checks: list[tuple[str, float, float]] = []  # (label, value, bound)
-
-    r = np.array([[1.0, 2.0], [3.0, 4.0]])
-    s = np.array([[0.5, -1.0], [2.0, 0.25]])
-    b = linalg.bracket(r, s)
-    checks.append(("bracket antisymmetry", float(np.max(np.abs(b + b.T))), 1e-15))
-
-    quad = quadratic_model(3)
-    tok = tokamak_model()
-    tok_state = reference_initial_state(tok)
-    quad_state = PhaseState(np.zeros(3), np.zeros(3))
-    for model, state, scheme, block in (
-        (quad, quad_state, Scheme.P_IMPLICIT, "diag_q_norm"),
-        (quad, quad_state, Scheme.Q_IMPLICIT, "diag_p_norm"),
-        (tok, tok_state, Scheme.P_IMPLICIT, "diag_q_norm"),
-        (tok, tok_state, Scheme.Q_IMPLICIT, "diag_p_norm"),
-    ):
-        for m in (1, 2, 3):
-            config = SchemeConfig(scheme, 0.1, M=m)
-            report = analyze(model, config, state)
-            zero_block = report.diag_p_norm if block == "diag_q_norm" else report.diag_q_norm
-            name = f"zero block {type(model).__name__} {scheme.value} M={m}"
-            checks.append((name, zero_block, 1e-12))
-            checks.append(
-                (
-                    f"skew residual {type(model).__name__} {scheme.value} M={m}",
-                    report.skew_residual / max(np.linalg.norm(report.structure), 1e-300),
-                    1e-12,
-                )
-            )
-
-    report = analyze(quad, SchemeConfig(Scheme.P_IMPLICIT, 0.1, M=2), quad_state)
-    diag_pred, anti_pred = predicted_defect_blocks(3, 2, 0.1)
-    checks.append(
-        (
-            "closed-form diagonal match",
-            float(np.linalg.norm(report.diag_q - diag_pred) / np.linalg.norm(diag_pred)),
-            1e-9,
-        )
-    )
-    checks.append(
-        (
-            "closed-form antidiagonal match",
-            float(np.linalg.norm(report.antidiag - anti_pred) / np.linalg.norm(anti_pred)),
-            1e-9,
-        )
-    )
-
-    config = SchemeConfig(Scheme.Q_IMPLICIT, 0.05, M=2)
-    ad = flow_jacobian_ad(tok, config, tok_state)
-    from .defect import flow_jacobian_fd
-
-    fd = flow_jacobian_fd(tok, config, tok_state)
-    checks.append(
-        ("AD vs central differences", float(np.linalg.norm(ad - fd) / np.linalg.norm(ad)), 1e-5)
-    )
-
-    checks.append(("coordinate swap conjugation", coordinate_swap_check(tok, 0.05, 2, tok_state), 1e-13))
-
-    a = step_sv_pq(tok, tok_state, 0.1, 1, 3).to_vector()
-    bvec = step_sv_pq_direct(tok, tok_state, 0.1, 1, 3).to_vector()
-    checks.append(("sv-pq literal vs composition", float(np.max(np.abs(a - bvec))), 1e-15))
-    a = step_sv_qp(tok, tok_state, 0.1, 1, 3).to_vector()
-    bvec = step_sv_qp_direct(tok, tok_state, 0.1, 1, 3).to_vector()
-    checks.append(("sv-qp literal vs composition", float(np.max(np.abs(a - bvec))), 1e-15))
-
-    dflow = flow_jacobian_ad(tok, SchemeConfig(Scheme.Q_IMPLICIT, 0.1, M=3), tok_state)
-    rep = defect_report(dflow, "p")
-    checks.append(
-        (
-            "volume identity",
-            abs(abs(rep.det_flow) - abs(rep.det_antidiag)),
-            1e-12 * abs(rep.det_antidiag),
-        )
-    )
-
     failed = 0
-    for label, value, bound in checks:
-        ok = value <= bound
+    for num, criterion in checks.CRITERIA.items():
+        ok, detail = criterion()
         failed += 0 if ok else 1
-        print(f"{'ok  ' if ok else 'FAIL'} {label}: {value:.3e} (bound {bound:.1e})")
-    print(f"selftest: {len(checks) - failed}/{len(checks)} checks passed")
+        print(checks.gate_line(num, ok, detail))
+    total = len(checks.CRITERIA)
+    print(f"selftest: {total - failed}/{total} checks passed")
     return 0 if failed == 0 else 1
 
 
@@ -570,7 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("optimality", cmd_optimality, "measured defect blocks vs the closed-form oracle"),
         ("sv-orders", cmd_sv_orders, "per-block deviation orders of the compositions"),
         ("volume", cmd_volume, "volume defect and the determinant identity"),
-        ("selftest", cmd_selftest, "fast built-in invariant checklist"),
+        ("selftest", cmd_selftest,
+         "gate lines of acceptance criteria 1-9 and 11 (criterion 10 needs pytest or energy-drift)"),
     ):
         p = sub.add_parser(name, parents=[common], help=desc, description=desc)
         p.set_defaults(func=func)

@@ -1,229 +1,61 @@
 """Acceptance gate: one test per numbered shipping criterion.
 
 Every test prints a single pass/fail line with the measured figure at the
-pinned tolerance, then asserts.  Criterion 10 additionally has a
-long-horizon twin deselected by default; run it with -m fullscale
-(several minutes of integration).
+pinned tolerance, then asserts.  Criteria 1-9 and 11 are defined in
+`sympdefect.checks`, which `sympdefect selftest` runs as well; criterion
+10 is defined here.  Criterion 10 additionally has a long-horizon twin
+deselected by default; run it with -m fullscale (several minutes of
+integration).
 """
 
 import numpy as np
 import pytest
 
-from sympdefect.defect import (
-    analyze,
-    coordinate_swap_check,
-    flow_jacobian_ad,
-    flow_jacobian_analytic,
-    flow_jacobian_fd,
-)
-from sympdefect.experiments import (
-    default_h_grid,
-    defect_sweep,
-    energy_drift_run,
-    loglog_fit,
-    step_energy_defect,
-    sv_block_orders,
-)
+from sympdefect import checks
+from sympdefect.experiments import energy_drift_run, step_energy_defect
 from sympdefect.hamiltonians import reference_initial_state
-from sympdefect.integrators import (
-    Scheme,
-    SchemeConfig,
-    step_sv_pq,
-    step_sv_pq_direct,
-    step_sv_qp,
-    step_sv_qp_direct,
-)
-from sympdefect.quadratic_oracle import coupling_power, predicted_defect_blocks
-from sympdefect.state import PhaseState
-
-GRID_H = np.geomspace(0.02, 0.2, 3)
-SWEEP_FLOOR = 1e-15
+from sympdefect.integrators import Scheme, SchemeConfig
 
 
 def gate(num: int, ok: bool, detail: str) -> None:
-    print(f"[criterion {num:02d}] {'PASS' if ok else 'FAIL'} {detail}")
+    print(checks.gate_line(num, ok, detail))
     assert ok, f"criterion {num:02d}: {detail}"
 
 
-@pytest.fixture(scope="module")
-def model_states(tokamak, quad3, oscillator):
-    return [
-        ("harmonic", oscillator, PhaseState(np.array([0.7]), np.array([-0.3]))),
-        ("quadratic", quad3, PhaseState(0.3 * np.ones(3), -0.2 * np.ones(3))),
-        ("tokamak", tokamak, reference_initial_state(tokamak)),
-    ]
+def test_criterion_01_zero_diagonal_block():
+    gate(1, *checks.criterion_01())
 
 
-@pytest.fixture(scope="module")
-def structure_reports(model_states):
-    """All (model, scheme, M, h) structure matrices for criteria 1, 2, 6."""
-    cases = []
-    for name, model, state in model_states:
-        for scheme in (Scheme.P_IMPLICIT, Scheme.Q_IMPLICIT):
-            for m in (1, 2, 3):
-                for h in GRID_H:
-                    report = analyze(model, SchemeConfig(scheme, h, M=m), state)
-                    cases.append((name, scheme, m, h, report))
-    return cases
+def test_criterion_02_skew_symmetry():
+    gate(2, *checks.criterion_02())
 
 
-@pytest.fixture(scope="module")
-def tokamak_sweep(tokamak):
-    state = reference_initial_state(tokamak)
-    return defect_sweep(
-        tokamak, Scheme.Q_IMPLICIT, [1, 2, 3], default_h_grid(), state
-    )
-
-
-def test_criterion_01_zero_diagonal_block(structure_reports):
-    worst = 0.0
-    for _, scheme, _, _, report in structure_reports:
-        zero_norm = (
-            report.diag_p_norm if scheme is Scheme.P_IMPLICIT else report.diag_q_norm
-        )
-        worst = max(worst, zero_norm)
-    gate(1, worst <= 1e-12,
-         f"implicit-side diagonal block norm <= 1e-12, worst {worst:.3e}")
-
-
-def test_criterion_02_skew_symmetry(structure_reports):
-    worst = 0.0
-    for _, _, _, _, report in structure_reports:
-        worst = max(
-            worst, report.skew_residual / np.linalg.norm(report.structure)
-        )
-    gate(2, worst <= 1e-12,
-         f"relative skew residual <= 1e-12, worst {worst:.3e}")
-
-
-def test_criterion_03_order_recovery(tokamak_sweep):
-    h = np.array([r["h"] for r in tokamak_sweep.rows if r["M"] == 1])
-    lines = []
-    ok = True
-    for m in (1, 2, 3):
-        delta = [r["delta"] for r in tokamak_sweep.rows if r["M"] == m]
-        alpha = [r["alpha"] for r in tokamak_sweep.rows if r["M"] == m]
-        p_delta = loglog_fit(h, delta, floor=SWEEP_FLOOR).slope
-        p_alpha = loglog_fit(h, alpha, floor=SWEEP_FLOOR).slope
-        ok = ok and abs(p_delta - (m + 1)) <= 0.4 and abs(p_alpha - (m + 1)) <= 0.4
-        lines.append(f"M={m}: p_delta={p_delta:.5f} p_alpha={p_alpha:.5f}")
-    gate(3, ok, "fitted orders within (M+1) +/- 0.4; " + "; ".join(lines))
+def test_criterion_03_order_recovery():
+    gate(3, *checks.criterion_03())
 
 
 def test_criterion_04_closed_form_sharpness():
-    worst_rel = 0.0
-    worst_abs = 0.0
-    from sympdefect.hamiltonians import quadratic_model
-
-    for n in (2, 3, 5):
-        model = quadratic_model(n)
-        state = PhaseState(np.zeros(n), np.zeros(n))
-        for m in (1, 2, 3):
-            for h in (0.1, 0.01):
-                report = analyze(model, SchemeConfig(Scheme.P_IMPLICIT, h, M=m), state)
-                diag_pred, anti_pred = predicted_defect_blocks(n, m, h)
-                for measured, predicted in (
-                    (report.diag_q, diag_pred),
-                    (report.antidiag, anti_pred),
-                ):
-                    err = np.abs(measured - predicted)
-                    nonzero = predicted != 0.0
-                    if np.any(nonzero):
-                        worst_rel = max(
-                            worst_rel,
-                            float(np.max(err[nonzero] / np.abs(predicted[nonzero]))),
-                        )
-                    if np.any(~nonzero):
-                        worst_abs = max(worst_abs, float(np.max(err[~nonzero])))
-    gate(4, worst_rel <= 1e-9 and worst_abs <= 1e-13,
-         f"componentwise rel {worst_rel:.3e} <= 1e-9, abs on zeros {worst_abs:.3e} <= 1e-13")
+    gate(4, *checks.criterion_04())
 
 
-def test_criterion_05_jacobian_triple_agreement(model_states):
-    worst_analytic = 0.0
-    worst_fd = 0.0
-    for name, model, state in model_states:
-        if name == "harmonic":
-            continue
-        for scheme in (Scheme.P_IMPLICIT, Scheme.Q_IMPLICIT):
-            for m in (1, 2, 3):
-                config = SchemeConfig(scheme, 0.1, M=m)
-                ad = flow_jacobian_ad(model, config, state)
-                scale = np.linalg.norm(ad)
-                exact = flow_jacobian_analytic(model, config, state)
-                fd = flow_jacobian_fd(model, config, state)
-                worst_analytic = max(worst_analytic, np.linalg.norm(ad - exact) / scale)
-                worst_fd = max(worst_fd, np.linalg.norm(ad - fd) / scale)
-    gate(5, worst_analytic <= 1e-10 and worst_fd <= 1e-5,
-         f"AD vs recursion {worst_analytic:.3e} <= 1e-10, AD vs FD {worst_fd:.3e} <= 1e-5")
+def test_criterion_05_jacobian_triple_agreement():
+    gate(5, *checks.criterion_05())
 
 
-def test_criterion_06_volume_identity(structure_reports, quad3):
-    worst = 0.0
-    for _, _, _, _, report in structure_reports:
-        gap = abs(abs(report.det_flow) - abs(report.det_antidiag))
-        worst = max(worst, gap / abs(report.det_antidiag))
-    state = PhaseState(0.3 * np.ones(3), -0.2 * np.ones(3))
-    sweep = defect_sweep(quad3, Scheme.P_IMPLICIT, [1, 2, 3], default_h_grid(), state)
-    h = np.array([r["h"] for r in sweep.rows if r["M"] == 1])
-    slopes = []
-    slopes_ok = True
-    for m in (1, 2, 3):
-        v = [abs(r["det_flow"] - 1.0) for r in sweep.rows if r["M"] == m]
-        slope = loglog_fit(h, v, floor=SWEEP_FLOOR).slope
-        slopes_ok = slopes_ok and abs(slope - (m + 1)) <= 0.4
-        slopes.append(f"{slope:.4f}")
-    gate(6, worst <= 1e-12 and slopes_ok,
-         f"determinant gap {worst:.3e} <= 1e-12, |det-1| slopes {'/'.join(slopes)} near 2/3/4")
+def test_criterion_06_volume_identity():
+    gate(6, *checks.criterion_06())
 
 
-def test_criterion_07_composition_block_split(quad3):
-    state = PhaseState(0.3 * np.ones(3), -0.2 * np.ones(3))
-    _, pq = sv_block_orders(quad3, Scheme.SV_PQ, 1, 3, default_h_grid(), state)
-    _, qp = sv_block_orders(quad3, Scheme.SV_QP, 1, 3, default_h_grid(), state)
-    ok = (
-        all(1.6 <= pq[b].slope <= 2.4 for b in ("P11", "P12", "P21"))
-        and 3.6 <= pq["P22"].slope <= 4.4
-        and all(1.6 <= qp[b].slope <= 2.4 for b in ("P12", "P21", "P22"))
-        and 3.6 <= qp["P11"].slope <= 4.4
-    )
-    detail = (
-        "sv-pq " + "/".join(f"{pq[b].slope:.2f}" for b in ("P11", "P12", "P21", "P22"))
-        + " sv-qp " + "/".join(f"{qp[b].slope:.2f}" for b in ("P11", "P12", "P21", "P22"))
-    )
-    gate(7, ok, "block orders split 2/2/2/4 and mirrored; " + detail)
+def test_criterion_07_composition_block_split():
+    gate(7, *checks.criterion_07())
 
 
-def test_criterion_08_coordinate_swap_conjugation(tokamak):
-    base = reference_initial_state(tokamak)
-    rng = np.random.default_rng(20260823)
-    worst = 0.0
-    for _ in range(20):
-        state = PhaseState(
-            base.q + 1e-3 * rng.standard_normal(3),
-            base.p + 1e-4 * rng.standard_normal(3),
-        )
-        for m in (1, 2, 3):
-            worst = max(worst, coordinate_swap_check(tokamak, 0.05, m, state))
-    gate(8, worst <= 1e-13,
-         f"swap-conjugation discrepancy over 20 states <= 1e-13, worst {worst:.3e}")
+def test_criterion_08_coordinate_swap_conjugation():
+    gate(8, *checks.criterion_08())
 
 
-def test_criterion_09_composition_equivalence(model_states):
-    worst = 0.0
-    for name, model, state in model_states:
-        if name == "harmonic":
-            continue
-        for m1, m2 in ((1, 3), (2, 2)):
-            for direct, composed in (
-                (step_sv_pq_direct, step_sv_pq),
-                (step_sv_qp_direct, step_sv_qp),
-            ):
-                a = direct(model, state, 0.1, m1, m2).to_vector()
-                b = composed(model, state, 0.1, m1, m2).to_vector()
-                worst = max(worst, float(np.max(np.abs(a - b))))
-    gate(9, worst <= 1e-15,
-         f"literal vs composed forms agree componentwise, worst {worst:.3e} <= 1e-15")
+def test_criterion_09_composition_equivalence():
+    gate(9, *checks.criterion_09())
 
 
 # sweeps after which the q-implicit relation is solved to round-off at h=0.25
@@ -276,27 +108,4 @@ def test_criterion_10_energy_drift_labels_full_scale(tokamak):
 
 
 def test_criterion_11_coupling_power_structure():
-    failures = []
-    for n in range(2, 9):
-        for m in range(1, 7):
-            cp = coupling_power(n, m)
-            mat = cp.matrix
-            for l in range(1, n):
-                # band offsets are row minus column: positive below the
-                # main diagonal, the mirror of numpy's diagonal offsets
-                below_ok = np.all(np.diagonal(mat, -l) == cp.diagonal_value(l))
-                above_ok = np.all(np.diagonal(mat, l) == cp.diagonal_value(-l))
-                if not (below_ok and above_ok):
-                    failures.append(f"N={n} M={m}: off-diagonal {l} not constant")
-                if -2 * cp.diagonal_value(l) != cp.diagonal_value(l - n):
-                    failures.append(f"N={n} M={m}: wrap identity fails at {l}")
-            symmetric = bool(np.array_equal(mat, mat.T))
-            if n == 2 and m % 2 == 0:
-                expected = (-2) ** (m // 2) * np.eye(2, dtype=np.int64)
-                if not (symmetric and np.array_equal(mat, expected)):
-                    failures.append(f"N=2 M={m}: even power is not (-2)^(M/2) I")
-            elif symmetric:
-                failures.append(f"N={n} M={m}: unexpectedly symmetric")
-    gate(11, not failures,
-         "integer Toeplitz/wrap/asymmetry checks exact; " + (
-             "; ".join(failures) if failures else "42 (N, M) pairs verified"))
+    gate(11, *checks.criterion_11())

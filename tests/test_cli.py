@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from sympdefect import checks
 from sympdefect.cli import main, parse_config_file
 
 
@@ -179,7 +180,33 @@ def test_selftest_passes_on_a_clean_build(capsys):
     rc, out, _ = run_cli(capsys, ["selftest"])
     assert rc == 0
     assert "FAIL" not in out
-    assert out.strip().splitlines()[-1].endswith("checks passed")
+    lines = out.splitlines()
+    assert lines[:-1] == [
+        checks.gate_line(num, *criterion()) for num, criterion in checks.CRITERIA.items()
+    ]
+    assert lines[-1] == "selftest: 10/10 checks passed"
+
+
+def test_selftest_fails_when_a_criterion_fails(capsys, monkeypatch):
+    monkeypatch.setitem(checks.CRITERIA, 4, lambda: (False, "forced failure"))
+    rc, out, _ = run_cli(capsys, ["selftest"])
+    assert rc == 1
+    lines = out.splitlines()
+    assert lines[3] == "[criterion 04] FAIL forced failure"
+    assert sum("FAIL" in line for line in lines) == 1
+    assert lines[-1] == "selftest: 9/10 checks passed"
+
+
+@pytest.mark.parametrize("command", ["optimality", "jtilde"])
+@pytest.mark.parametrize("hamiltonian", [None, "quadratic", "tokamak", "harmonic"])
+def test_dimension_below_two_is_an_argument_error(capsys, command, hamiltonian):
+    argv = [command, "--N", "1"]
+    if hamiltonian is not None:
+        argv += ["--hamiltonian", hamiltonian]
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 2
+    assert out == ""
+    assert "n must be >= 2" in err
 
 
 def test_scheme_model_pairing_is_validated(capsys):
