@@ -3,11 +3,9 @@ fixed-point-iterated symplectic Euler and Stoermer-Verlet maps."""
 
 from .autodiff import (
     CustomPrimitive,
-    Dual,
     NonFiniteError,
     finite_difference_jacobian,
     jacobian,
-    solve,
 )
 from .defect import (
     DefectReport,
@@ -81,6 +79,7 @@ from .linalg import (
     frobenius_norm,
     mat_pow,
     skew_part,
+    solve,
     symplectic_matrix,
 )
 from .quadratic_oracle import CouplingPower, coupling_power, predicted_defect_blocks

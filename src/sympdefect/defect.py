@@ -5,8 +5,8 @@ J~ = D^T J D of a symplectic map equals J exactly.  Truncating the implicit
 solve leaves a structured residue: J~ is always skew-symmetric, one diagonal
 N x N block vanishes identically (which one depends on the implicit side),
 and the remaining blocks deviate at order h^(M+1).  This module computes D
-by forward AD (or finite differences, or closed-form recursions where
-available) and packages the block decomposition of J~.
+by complex-step forward AD (or finite differences, or closed-form
+recursions where available) and packages the block decomposition of J~.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ def flow_map(model, config: SchemeConfig):
 
 
 def flow_jacobian_ad(model, config: SchemeConfig, state: PhaseState) -> np.ndarray:
-    """Jacobian of the one-step map by one forward-AD pass (primary route)."""
+    """Jacobian of the one-step map by complex-step forward AD (primary route)."""
     return jacobian(flow_map(model, config), state.to_vector())
 
 

@@ -13,21 +13,21 @@ field profile f(r) = r (1 + r^2) / (R (1 + a r)).  After nondimensionalizing
 with the gyration scales (L0, T0, P0) the Hamiltonian is the minimally
 coupled kinetic energy H = |p - A(q)|^2 / 2.
 
-All model callables accept float arrays or object arrays of dual numbers,
-so flows built on them can be differentiated by forward-mode AD unchanged.
-The tokamak potential is one body for both: it picks float or dual
-primitives once per call and otherwise runs the same operations.
+All model callables accept float or complex arrays, so flows built on them
+can be differentiated by complex-step forward mode unchanged.  The tokamak
+potential is one body for both: it picks real or complex primitives once
+per call and otherwise runs the same operations.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff
-from .autodiff import CustomPrimitive, jacobian, value_of
+from .autodiff import CustomPrimitive, jacobian
 from .state import NonFiniteIterateError, PhaseState
 
 # Positions closer to the torus axis than this fraction of R are rejected
@@ -150,8 +150,8 @@ class HamiltonianModel:
     """Smooth Hamiltonian H(q, p) with gradients and Hessian blocks.
 
     Subclasses set `dim` and implement value/grad_q/grad_p; the Hessian
-    blocks default to one forward-AD pass over the stacked gradients and
-    are overridden where they are constant.
+    blocks default to the complex-step Jacobian of the stacked gradients
+    and are overridden where they are constant.
     """
 
     dim: int
@@ -166,7 +166,11 @@ class HamiltonianModel:
         raise NotImplementedError
 
     def hessian_blocks(self, q: np.ndarray, p: np.ndarray):
-        """Blocks (H_qq, H_pp, H_pq) with H_pq[r, s] = d^2 H / dp_s dq_r."""
+        """Blocks (H_qq, H_pp, H_pq) with H_pq[r, s] = d^2 H / dp_s dq_r.
+
+        By default the complex-step Jacobian of (grad_q, grad_p), one pass
+        per phase-space coordinate.
+        """
         n = self.dim
 
         def stacked(z):
@@ -177,7 +181,7 @@ class HamiltonianModel:
         return jac[:n, :n], jac[n:, n:], jac[:n, n:]
 
     def energy(self, state: PhaseState) -> float:
-        return float(value_of(self.value(state.q, state.p)))
+        return float(self.value(state.q, state.p))
 
 
 class HarmonicOscillator(HamiltonianModel):
@@ -271,10 +275,10 @@ class TokamakModel(HamiltonianModel):
     flux integral F is a registered AD primitive whose derivative is the
     field profile f, so differentiating a flow never runs through F's
     closed form, whose branches and series loop are exact only in value.
-    Float and dual positions share one potential body, so the AD Jacobian
-    differentiates exactly the arithmetic of the float step; a position
-    whose radius r or flux F(r) overflows raises NonFiniteIterateError on
-    both.
+    Float and complex positions share one potential body, so the AD
+    Jacobian differentiates exactly the arithmetic of the float step; a
+    position whose radius r or flux F(r) overflows raises
+    NonFiniteIterateError on both.
     """
 
     dim = 3
@@ -287,8 +291,8 @@ class TokamakModel(HamiltonianModel):
             derivative=self._flux_slope,
             name="field-profile-integral",
         )
-        # one-entry memo for the float path: fixed-point sweeps and adjacent
-        # steps revisit the same position, so this halves field evaluations
+        # one-entry memo: fixed-point sweeps and adjacent steps revisit the
+        # same position, so this halves field evaluations
         self._memo_key: bytes | None = None
         self._memo_pot: np.ndarray | None = None
         self._memo_jac: np.ndarray | None = None
@@ -302,21 +306,21 @@ class TokamakModel(HamiltonianModel):
     def potential_and_jacobian(self, q: np.ndarray, with_jacobian: bool = True):
         """Dimensionless A(q) and optionally its Jacobian dA/dq.
 
-        One body serves float arrays and object arrays of duals: only the
-        primitives differ (math.sqrt/log and F_integral for floats, their
-        dual forms and the registered flux primitive for duals), so both
-        run the same operations in the same order.  The arrays returned are
-        read-only.  Float results are memoised for one position; object
-        arrays bypass the memo, since their bytes are pointers, not values.
+        One body serves float and complex arrays: only the primitives differ
+        (math.sqrt/log and F_integral for floats, cmath.sqrt/log and the
+        registered flux primitive for complex steps), so both run the same
+        operations in the same order, and guards compare real parts.  The
+        arrays returned are read-only.  Results are memoised for one
+        position; q is a 3-vector, so float and complex keys differ in
+        length and never collide.
         """
-        dual = q.dtype == object
-        if dual:
-            sqrt, log = autodiff.sqrt, autodiff.log
+        key = q.tobytes()
+        if key == self._memo_key and (self._memo_jac is not None or not with_jacobian):
+            return self._memo_pot, (self._memo_jac if with_jacobian else None)
+        if q.dtype.kind == "c":
+            sqrt, log, flux_of = cmath.sqrt, cmath.log, self._flux
         else:
-            key = q.tobytes()
-            if key == self._memo_key and (self._memo_jac is not None or not with_jacobian):
-                return self._memo_pot, (self._memo_jac if with_jacobian else None)
-            sqrt, log = math.sqrt, math.log
+            sqrt, log, flux_of = math.sqrt, math.log, self._flux_value
         par = self.params
         b0, big_r, a = par.B0, par.R, par.a
         s = self.scales
@@ -324,22 +328,17 @@ class TokamakModel(HamiltonianModel):
         x, y, z = x * s.L0, y * s.L0, z * s.L0
         u = x * x + y * y
         rho = sqrt(u)
-        if rho <= AXIS_TOLERANCE * big_r:
+        if rho.real <= AXIS_TOLERANCE * big_r:
             raise AxisSingularityError(
                 f"position is within {AXIS_TOLERANCE:g} R of the torus axis"
             )
         dr = rho - big_r
         r = sqrt(dr * dr + z * z)
         # a diverging orbit overflows r, or F(r), while q itself is finite;
-        # comparisons act on dual values, and any comparison with nan fails
-        if not r < math.inf:
-            flux = math.inf
-        elif dual:
-            flux = self._flux(r)
-        else:
-            flux = F_integral(r, par)
-        if not flux < math.inf:
-            raise NonFiniteIterateError(f"field flux overflows at radius {value_of(r):g} m")
+        # any comparison with nan fails
+        flux = flux_of(r) if r.real < math.inf else math.inf
+        if not flux.real < math.inf:
+            raise NonFiniteIterateError(f"field flux overflows at radius {r.real:g} m")
         w = flux / u
         inv_a0 = 1.0 / s.A0
         pot = np.array([
@@ -363,8 +362,7 @@ class TokamakModel(HamiltonianModel):
                 -b0 * big_r * x / u * scale, -b0 * big_r * y / u * scale, 0.0,
             ]).reshape(3, 3)
             jac.setflags(write=False)
-        if not dual:
-            self._memo_key, self._memo_pot, self._memo_jac = key, pot, jac
+        self._memo_key, self._memo_pot, self._memo_jac = key, pot, jac
         return pot, jac
 
     def vector_potential(self, q: np.ndarray) -> np.ndarray:

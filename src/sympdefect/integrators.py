@@ -10,14 +10,15 @@ forms are kept alongside as references.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .autodiff import solve
 from .hamiltonians import mixed_hessian
+from .linalg import solve
 from .state import NonFiniteIterateError, PhaseState
 
 
@@ -78,10 +79,10 @@ def _check_step(h: float) -> None:
 
 
 def _check_finite(vec: np.ndarray, label: str) -> None:
-    # dual-number paths are checked by the jacobian driver instead; a Python
-    # sum over tolist() costs a fraction of ndarray.sum on 3-vectors and is
-    # non-finite whenever a component is, or when large finite ones overflow
-    if vec.dtype != object and not (math.isfinite(sum(vec.tolist())) or np.isfinite(vec).all()):
+    # a Python sum over tolist() costs a fraction of ndarray.sum on 3-vectors
+    # and is non-finite whenever a component is (real or imaginary part), or
+    # when large finite ones overflow
+    if not (cmath.isfinite(sum(vec.tolist())) or np.isfinite(vec).all()):
         raise NonFiniteIterateError(f"non-finite {label}")
 
 

@@ -1,10 +1,13 @@
 """Dense linear algebra for small phase-space matrices.
 
-Everything here operates on plain numpy arrays.  The linear solve, which
-must also carry dual numbers, is :func:`sympdefect.autodiff.solve`.
+Everything here operates on plain numpy arrays.  :func:`solve` also takes
+the complex steps of :mod:`sympdefect.autodiff`, so flows that solve a
+linear system can be differentiated with no solve rule of their own.
 """
 
 from __future__ import annotations
+
+import cmath
 
 import numpy as np
 
@@ -16,6 +19,23 @@ def _check_square(a: np.ndarray, name: str = "matrix") -> int:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
     return a.shape[0]
+
+
+def solve(a, b) -> np.ndarray:
+    """Solve a x = b for a vector or matrix b by LAPACK's LU with partial pivoting.
+
+    On complex steps a = A + i e dA, b = B + i e dB it returns x + i e dx
+    with dx = A^-1 (dB - dA x), the tangent rule, from the complex LU
+    itself, while e * e underflows.  A singular matrix raises
+    ``np.linalg.LinAlgError`` (a ValueError), and non-finite matrix entries
+    raise ValueError, because LAPACK would return nan silently.
+    """
+    a = np.asarray(a)
+    # a Python sum over tolist() is the cheap test on small matrices; it
+    # also overflows for large finite entries, so np.isfinite confirms
+    if not cmath.isfinite(sum(a.ravel().tolist())) and not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
+    return np.linalg.solve(a, b)
 
 
 def bracket(r: np.ndarray, s: np.ndarray) -> np.ndarray:

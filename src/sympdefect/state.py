@@ -17,7 +17,7 @@ class NonFiniteIterateError(ValueError):
 class PhaseState:
     """A point (q, p) in 2N-dimensional phase space.
 
-    Entries are usually float64 but may be dual numbers (object dtype) so
+    Entries are usually float64 but may be complex steps (complex128), so
     that one-step maps can be differentiated by running them unchanged.
     """
 
@@ -25,7 +25,7 @@ class PhaseState:
     p: np.ndarray
 
     def __post_init__(self) -> None:
-        # asarray without a dtype keeps object arrays of duals intact
+        # asarray without a dtype keeps complex steps intact
         self.q = np.asarray(self.q)
         self.p = np.asarray(self.p)
         if self.q.ndim != 1 or self.p.ndim != 1:

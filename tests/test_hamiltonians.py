@@ -4,7 +4,7 @@ import types
 import numpy as np
 import pytest
 
-from sympdefect.autodiff import Dual, finite_difference_jacobian, value_of
+from sympdefect.autodiff import STEP, finite_difference_jacobian
 from sympdefect.hamiltonians import (
     AxisSingularityError,
     CharacteristicScales,
@@ -265,46 +265,47 @@ def test_float_path_memoizes_repeated_positions():
     assert pot3 is not pot1
 
 
+def _complex_step(q):
+    return q + STEP * 1j
+
+
 def test_float_path_memo_arrays_are_read_only():
+    # complex steps share the memo and get read-only arrays as well
     model = TokamakModel()
-    q = reference_initial_state(model).q
-    pot, jac = model.potential_and_jacobian(q)
-    pot_before, jac_before = pot.copy(), jac.copy()
-    with pytest.raises(ValueError):
-        pot[0] = 1.0
-    with pytest.raises(ValueError):
-        jac[1, 2] = 1.0
-    with pytest.raises(ValueError):
-        jac.T[0] += 1.0
-    pot_again, jac_again = model.potential_and_jacobian(q)
-    assert np.array_equal(pot_again, pot_before)
-    assert np.array_equal(jac_again, jac_before)
-    moved = model.vector_potential(q + 1e-3)
-    with pytest.raises(ValueError):
-        moved[2] = 0.0
-
-
-def _dual_constants(q):
-    return np.array([Dual.constant(v, 1) for v in q], dtype=object)
+    q_float = reference_initial_state(model).q
+    for q in (q_float, _complex_step(q_float)):
+        pot, jac = model.potential_and_jacobian(q)
+        pot_before, jac_before = pot.copy(), jac.copy()
+        with pytest.raises(ValueError):
+            pot[0] = 1.0
+        with pytest.raises(ValueError):
+            jac[1, 2] = 1.0
+        with pytest.raises(ValueError):
+            jac.T[0] += 1.0
+        pot_again, jac_again = model.potential_and_jacobian(q)
+        assert pot_again is pot and jac_again is jac
+        assert np.array_equal(pot_again, pot_before)
+        assert np.array_equal(jac_again, jac_before)
+        moved = model.vector_potential(q + 1e-3)
+        with pytest.raises(ValueError):
+            moved[2] = 0.0
 
 
 @pytest.mark.parametrize(
     "x, as_input",
-    [(1e110, np.asarray), (1e200, np.asarray), (1e110, _dual_constants), (1e200, _dual_constants)],
-    ids=["flux-overflow", "radius-overflow", "flux-overflow-dual", "radius-overflow-dual"],
+    [(1e110, np.asarray), (1e200, np.asarray), (1e110, _complex_step), (1e200, _complex_step)],
+    ids=["flux-overflow", "radius-overflow", "flux-overflow-complex", "radius-overflow-complex"],
 )
 def test_float_path_rejects_overflowing_field_radius(tokamak, x, as_input):
     # at 1e110 the radius is finite but F(r) overflows; at 1e200 r itself does;
-    # float and dual positions run the same body, so both must raise
+    # float and complex positions run the same body, so both must raise
     with pytest.raises(NonFiniteIterateError, match="radius"):
         tokamak.potential_and_jacobian(as_input(np.array([x, 0.0, 0.0])))
 
 
 def test_float_path_matches_generic_path(tokamak, tokamak_state):
     q = tokamak_state.q
-    obj_q = np.array([Dual.constant(v, 1) for v in q], dtype=object)
-    pot_o, jac_o = tokamak.potential_and_jacobian(obj_q)
+    pot_c, jac_c = tokamak.potential_and_jacobian(_complex_step(q))
     pot_f, jac_f = tokamak.potential_and_jacobian(q)
-    np.testing.assert_allclose([value_of(v) for v in pot_o], pot_f, rtol=1e-15)
-    got = np.array([[value_of(jac_o[i, j]) for j in range(3)] for i in range(3)])
-    np.testing.assert_allclose(got, jac_f, rtol=0, atol=1e-15 * np.max(np.abs(jac_f)))
+    np.testing.assert_allclose(pot_c.real, pot_f, rtol=1e-15)
+    np.testing.assert_allclose(jac_c.real, jac_f, rtol=0, atol=1e-15 * np.max(np.abs(jac_f)))

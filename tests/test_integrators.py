@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sympdefect.autodiff import seeded_vector
+from sympdefect.autodiff import STEP
 from sympdefect.experiments import energy_drift_run
 from sympdefect.hamiltonians import quadratic_model
 from sympdefect.integrators import (
@@ -327,19 +327,24 @@ def test_diverging_tokamak_orbit_fails_as_non_finite_iterate(config, tokamak, to
 @pytest.mark.parametrize("n", [3, 8])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_check_finite_rejects_any_non_finite_component(n, bad):
-    for i in range(n):
-        vec = np.linspace(-2.0, 3.0, n)
-        vec[i] = bad
-        with pytest.raises(NonFiniteIterateError, match="non-finite position iterate 2"):
-            _check_finite(vec, "position iterate 2")
+    # a float vector, then complex steps with the bad value in either part
+    finite = np.linspace(-2.0, 3.0, n)
+    stepped = finite + STEP * 1j
+    for base, entry in ((finite, bad), (stepped, complex(bad, STEP)), (stepped, complex(1.0, bad))):
+        for i in range(n):
+            vec = base.copy()
+            vec[i] = entry
+            with pytest.raises(NonFiniteIterateError, match="non-finite position iterate 2"):
+                _check_finite(vec, "position iterate 2")
 
 
-def test_check_finite_passes_finite_and_dual_vectors():
+def test_check_finite_passes_finite_and_complex_vectors():
     _check_finite(np.linspace(-2.0, 3.0, 3), "updated momentum")
     _check_finite(np.linspace(-2.0, 3.0, 8), "updated momentum")
-    _check_finite(seeded_vector(np.array([0.1, -0.2, 0.3])), "updated momentum")
+    _check_finite(np.array([0.1, -0.2, 0.3]) + STEP * 1j, "updated momentum")
     # finite, though the sum of its components overflows
     _check_finite(np.array([1e308, 1e308, 0.0]), "position iterate 1")
+    _check_finite(np.array([1e308, 1e308, 0.0]) * (1 + 1j), "position iterate 1")
 
 
 @pytest.mark.parametrize(
