@@ -4,10 +4,13 @@ Subcommands cover trajectory integration, defect sweeps, structure-matrix
 inspection, energy drift, the closed-form oracle comparison, composition
 block orders, volume defects and a selftest that prints the gate lines of
 acceptance criteria 1-9 and 11 from `sympdefect.checks` (criterion 10, a
-long drift run, needs pytest or energy-drift).  Settings resolve in
-three layers: built-in defaults, then `key = value` lines from --config,
-then explicit flags.  CSV output goes to --out (default stdout) with floats
-at 17 significant digits; summary tables go to the terminal.
+long drift run, needs pytest or energy-drift).  Every setting is declared
+once, in SETTINGS, which yields its flag, its config-file key, its
+coercion, its validation and its default.  Settings resolve in three
+layers: the SETTINGS defaults, then `key = value` lines from --config,
+then explicit flags; a default of None lets each command pick its own.
+CSV output goes to --out (default stdout) with floats at 17 significant
+digits; summary tables go to the terminal.
 
 Exit codes: 0 success, 1 computational failure, 2 invalid arguments/config.
 """
@@ -15,14 +18,18 @@ Exit codes: 0 success, 1 computational failure, 2 invalid arguments/config.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import checks
 from .defect import analyze
 from .experiments import (
+    DEFAULT_H_COUNT,
+    DEFAULT_H_MAX,
+    DEFAULT_H_MIN,
     default_h_grid,
     defect_sweep,
     energy_drift_run,
@@ -37,8 +44,6 @@ from .hamiltonians import (
 from .integrators import Scheme, SchemeConfig, integrate
 from .state import PhaseState
 
-HAMILTONIANS = ("tokamak", "quadratic", "harmonic")
-
 CI_DRIFT_STEPS = 300_000
 FULL_DRIFT_STEPS = 3_000_000
 
@@ -47,50 +52,58 @@ class ConfigError(ValueError):
     """Invalid flag, config key or option combination (exit code 2)."""
 
 
-@dataclass
-class RunConfig:
-    """Resolved settings; None means "not set, command picks its default"."""
+@dataclass(frozen=True)
+class Setting:
+    """One setting: `type` is int, float, bool or str.
 
-    hamiltonian: str | None = None
-    scheme: str | None = None
-    n: int | None = None
-    m: int | None = None
-    m1: int | None = None
-    m2: int | None = None
-    h: float | None = None
-    steps: int | None = None
-    stride: int | None = None
-    h_min: float | None = None
-    h_max: float | None = None
-    h_count: int | None = None
-    jobs: int | None = None
-    full_scale: bool | None = None
-    variant: str | None = None
-    out: str | None = None
+    str settings with `choices` accept only those; int settings accept
+    values >= `minimum`; float settings accept positive finite values.
+    """
+
+    flag: str
+    type: type
+    help: str
+    default: object = None  # None: the command picks its own
+    choices: tuple[str, ...] = ()
+    minimum: int = 1
+    reason: str = ""  # appended to the minimum's error message
 
 
-# tuples, not sets: _validate reports the first bad key in this order
-_INT_KEYS = ("n", "m", "m1", "m2", "steps", "stride", "h_count", "jobs")
-_FLOAT_KEYS = ("h", "h_min", "h_max")
-_BOOL_KEYS = ("full_scale",)
-_STR_KEYS = ("hamiltonian", "scheme", "variant", "out")
-_ALL_KEYS = _INT_KEYS + _FLOAT_KEYS + _BOOL_KEYS + _STR_KEYS
+# keyed by config-file key, which is also the argparse dest; _validate
+# reports the first bad setting in this order
+SETTINGS: dict[str, Setting] = {
+    "out": Setting("--out", str, "output file ('-' for stdout)"),
+    "hamiltonian": Setting(
+        "--hamiltonian", str, "model", "tokamak", ("tokamak", "quadratic", "harmonic")
+    ),
+    "scheme": Setting("--scheme", str, "integrator", choices=tuple(s.value for s in Scheme)),
+    "n": Setting("--N", int, "quadratic model dimension", minimum=2,
+                 reason=" for the quadratic model"),
+    "m": Setting("--M", int, "fixed-point sweep count"),
+    "m1": Setting("--M1", int, "sweeps in the first half step", 1),
+    "m2": Setting("--M2", int, "sweeps in the second half step", 3),
+    "h": Setting("--h", float, "step size (dimensionless)"),
+    "steps": Setting("--steps", int, "number of steps"),
+    "stride": Setting("--stride", int, "sampling interval in steps"),
+    "h_min": Setting("--h-min", float, "smallest step of a sweep grid", DEFAULT_H_MIN),
+    "h_max": Setting("--h-max", float, "largest step of a sweep grid", DEFAULT_H_MAX),
+    "h_count": Setting("--h-count", int, "points of a sweep grid", DEFAULT_H_COUNT, minimum=2),
+    "full_scale": Setting("--full-scale", bool, "run the long-horizon drift length", False),
+    "variant": Setting("--variant", str, "implicit side of the exact map", "p", ("p", "q")),
+}
+
+_TRUE = ("1", "true", "yes", "on")
+_FALSE = ("0", "false", "no", "off")
 
 
 def _coerce(key: str, raw: str):
+    kind = SETTINGS[key].type
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _BOOL_KEYS:
-            low = raw.lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
+        if kind is bool:
+            if raw.lower() in _TRUE + _FALSE:
+                return raw.lower() in _TRUE
             raise ValueError(f"not a boolean: {raw!r}")
-        return raw
+        return kind(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {exc}") from exc
 
@@ -111,89 +124,67 @@ def parse_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key = value, got {line.strip()!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip().lower().replace("-", "_")
-        raw = raw.strip()
-        if key not in _ALL_KEYS:
+        if key not in SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        out[key] = _coerce(key, raw)
+        out[key] = _coerce(key, raw.strip())
     return out
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        for key, value in parse_config_file(args.config).items():
-            setattr(cfg, key, value)
-    for f in fields(RunConfig):
-        flag_value = getattr(args, f.name, None)
-        if flag_value is not None:
-            setattr(cfg, f.name, flag_value)
-    _validate(cfg)
-    return cfg
+def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
+    """Fill every setting on `args`: its flag, else --config, else its default."""
+    from_file = parse_config_file(args.config) if getattr(args, "config", None) else {}
+    for key, setting in SETTINGS.items():
+        if getattr(args, key, None) is None:
+            setattr(args, key, from_file.get(key, setting.default))
+    _validate(args)
+    return args
 
 
-def _validate(cfg: RunConfig) -> None:
-    if cfg.hamiltonian is not None and cfg.hamiltonian not in HAMILTONIANS:
-        raise ConfigError(f"hamiltonian must be one of {HAMILTONIANS}, got {cfg.hamiltonian!r}")
-    if cfg.scheme is not None:
-        try:
-            Scheme(cfg.scheme)
-        except ValueError as exc:
-            raise ConfigError(f"unknown scheme {cfg.scheme!r}") from exc
-    for name in _INT_KEYS:
-        value = getattr(cfg, name)
-        if value is not None and value < 1:
-            raise ConfigError(f"{name} must be >= 1, got {value}")
-    if cfg.n is not None and cfg.n < 2:
-        raise ConfigError(f"n must be >= 2 for the quadratic model, got {cfg.n}")
-    for name in _FLOAT_KEYS:
-        value = getattr(cfg, name)
-        if value is not None and not (np.isfinite(value) and value > 0):
-            raise ConfigError(f"{name} must be positive and finite, got {value}")
-    if cfg.h_min is not None and cfg.h_max is not None and cfg.h_min >= cfg.h_max:
+def _validate(cfg: argparse.Namespace) -> None:
+    for key, setting in SETTINGS.items():
+        value = getattr(cfg, key)
+        if value is None:
+            continue
+        if setting.choices and value not in setting.choices:
+            raise ConfigError(f"{key} must be one of {setting.choices}, got {value!r}")
+        if setting.type is int and value < setting.minimum:
+            raise ConfigError(f"{key} must be >= {setting.minimum}{setting.reason}, got {value}")
+        if setting.type is float and not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"{key} must be positive and finite, got {value}")
+    if cfg.h_min >= cfg.h_max:
         raise ConfigError(f"h_min must be below h_max, got {cfg.h_min} and {cfg.h_max}")
-    if cfg.variant is not None and cfg.variant not in ("p", "q"):
-        raise ConfigError(f"variant must be 'p' or 'q', got {cfg.variant!r}")
 
 
 def _pick(value, default):
     return default if value is None else value
 
 
-def _build_model(cfg: RunConfig):
-    kind = _pick(cfg.hamiltonian, "tokamak")
-    if kind == "tokamak":
-        return tokamak_model()
-    if kind == "quadratic":
-        return quadratic_model(_pick(cfg.n, 3))
-    return harmonic_oscillator()
-
-
-def _initial_state(cfg: RunConfig, model) -> PhaseState:
-    kind = _pick(cfg.hamiltonian, "tokamak")
-    if kind == "tokamak":
-        return reference_initial_state(model)
-    if kind == "harmonic":
-        return PhaseState(np.array([1.0]), np.array([0.0]))
-    n = model.dim
+def _model_and_state(cfg: argparse.Namespace):
+    """The chosen model and the state every command starts from."""
+    if cfg.hamiltonian == "tokamak":
+        model = tokamak_model()
+        return model, reference_initial_state(model)
+    if cfg.hamiltonian == "harmonic":
+        return harmonic_oscillator(), PhaseState(np.array([1.0]), np.array([0.0]))
+    n = _pick(cfg.n, 3)
     idx = np.arange(n, dtype=float)
-    return PhaseState(1.0 / (idx + 2.0), (-1.0) ** idx / (idx + 3.0))
+    return quadratic_model(n), PhaseState(1.0 / (idx + 2.0), (-1.0) ** idx / (idx + 3.0))
 
 
-def _scheme_config(cfg: RunConfig, scheme: Scheme, h: float) -> SchemeConfig:
+def _scheme_config(cfg: argparse.Namespace, scheme: Scheme, h: float) -> SchemeConfig:
     if scheme in (Scheme.P_IMPLICIT, Scheme.Q_IMPLICIT):
         return SchemeConfig(scheme, h, M=_pick(cfg.m, 3))
     if scheme in (Scheme.SV_PQ, Scheme.SV_QP):
-        return SchemeConfig(scheme, h, M1=_pick(cfg.m1, 1), M2=_pick(cfg.m2, 3))
+        return SchemeConfig(scheme, h, M1=cfg.m1, M2=cfg.m2)
     if scheme is Scheme.EXACT_QUADRATIC:
-        return SchemeConfig(scheme, h, variant=_pick(cfg.variant, "p"))
+        return SchemeConfig(scheme, h, variant=cfg.variant)
     return SchemeConfig(scheme, h)
 
 
-def _check_scheme_model(cfg: RunConfig, scheme: Scheme) -> None:
-    kind = _pick(cfg.hamiltonian, "tokamak")
-    if scheme is Scheme.LINEAR_IMPLICIT_EM and kind != "tokamak":
+def _check_scheme_model(cfg: argparse.Namespace, scheme: Scheme) -> None:
+    if scheme is Scheme.LINEAR_IMPLICIT_EM and cfg.hamiltonian != "tokamak":
         raise ConfigError("linear-implicit-em needs the tokamak model")
-    if scheme is Scheme.EXACT_QUADRATIC and kind != "quadratic":
+    if scheme is Scheme.EXACT_QUADRATIC and cfg.hamiltonian != "quadratic":
         raise ConfigError("exact-quadratic needs the quadratic model")
 
 
@@ -223,7 +214,7 @@ def _write_text(out: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _summary(cfg: RunConfig, line: str) -> None:
+def _summary(cfg: argparse.Namespace, line: str) -> None:
     # keep tables off stdout when the CSV itself goes there
     stream = sys.stderr if cfg.out in (None, "-") else sys.stdout
     print(line, file=stream)
@@ -238,20 +229,13 @@ def _fit_line(tag: str, fit) -> str:
     )
 
 
-def _h_grid(cfg: RunConfig) -> np.ndarray:
-    return default_h_grid(
-        _pick(cfg.h_min, 0.02), _pick(cfg.h_max, 0.2), _pick(cfg.h_count, 10)
-    )
-
-
 # -- subcommands ----------------------------------------------------------
 
 
-def cmd_trajectory(cfg: RunConfig) -> int:
+def cmd_trajectory(cfg: argparse.Namespace) -> int:
     scheme = Scheme(_pick(cfg.scheme, Scheme.Q_IMPLICIT.value))
     _check_scheme_model(cfg, scheme)
-    model = _build_model(cfg)
-    state = _initial_state(cfg, model)
+    model, state = _model_and_state(cfg)
     config = _scheme_config(cfg, scheme, _pick(cfg.h, 0.1))
     traj = integrate(
         model, config, state, _pick(cfg.steps, 1000), _pick(cfg.stride, 1)
@@ -278,22 +262,19 @@ DEFECT_HEADER = [
 ]
 
 
-def _one_sided_sweep(cfg: RunConfig, composition_error: str):
+def _one_sided_sweep(cfg: argparse.Namespace, composition_error: str):
     """The (M, h) defect sweep behind both defect-sweep and volume."""
     scheme = Scheme(_pick(cfg.scheme, Scheme.Q_IMPLICIT.value))
     if scheme in (Scheme.SV_PQ, Scheme.SV_QP):
         raise ConfigError(composition_error)
     _check_scheme_model(cfg, scheme)
-    model = _build_model(cfg)
-    state = _initial_state(cfg, model)
+    model, state = _model_and_state(cfg)
     m_values = [cfg.m] if cfg.m is not None else [1, 2, 3]
-    return scheme, defect_sweep(
-        model, scheme, m_values, _h_grid(cfg), state,
-        variant=_pick(cfg.variant, "p"), jobs=_pick(cfg.jobs, 1),
-    )
+    grid = default_h_grid(cfg.h_min, cfg.h_max, cfg.h_count)
+    return scheme, defect_sweep(model, scheme, m_values, grid, state, variant=cfg.variant)
 
 
-def cmd_defect_sweep(cfg: RunConfig) -> int:
+def cmd_defect_sweep(cfg: argparse.Namespace) -> int:
     scheme, sweep = _one_sided_sweep(cfg, "use the sv-orders command for composition schemes")
     rows = [[r[col] for col in DEFECT_HEADER] for r in sweep.rows]
     _write_csv(cfg.out, DEFECT_HEADER, rows)
@@ -303,11 +284,10 @@ def cmd_defect_sweep(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_jtilde(cfg: RunConfig) -> int:
+def cmd_jtilde(cfg: argparse.Namespace) -> int:
     scheme = Scheme(_pick(cfg.scheme, Scheme.Q_IMPLICIT.value))
     _check_scheme_model(cfg, scheme)
-    model = _build_model(cfg)
-    state = _initial_state(cfg, model)
+    model, state = _model_and_state(cfg)
     config = _scheme_config(cfg, scheme, _pick(cfg.h, 0.1))
     report = analyze(model, config, state)
     lines = [" ".join(_fmt(v) for v in row) for row in report.structure]
@@ -323,24 +303,22 @@ def cmd_jtilde(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_energy_drift(cfg: RunConfig) -> int:
-    kind = _pick(cfg.hamiltonian, "tokamak")
-    model = _build_model(cfg)
-    state = _initial_state(cfg, model)
+def cmd_energy_drift(cfg: argparse.Namespace) -> int:
+    model, state = _model_and_state(cfg)
     h = _pick(cfg.h, 0.25)
     if cfg.scheme is not None:
         scheme = Scheme(cfg.scheme)
         _check_scheme_model(cfg, scheme)
         configs = [_scheme_config(cfg, scheme, h)]
     else:
-        if kind != "tokamak":
+        if cfg.hamiltonian != "tokamak":
             raise ConfigError("the default drift comparison needs the tokamak model")
         configs = [
             SchemeConfig(Scheme.LINEAR_IMPLICIT_EM, h),
             SchemeConfig(Scheme.Q_IMPLICIT, h, M=2),
             SchemeConfig(Scheme.Q_IMPLICIT, h, M=3),
         ]
-    steps = _pick(cfg.steps, FULL_DRIFT_STEPS if _pick(cfg.full_scale, False) else CI_DRIFT_STEPS)
+    steps = _pick(cfg.steps, FULL_DRIFT_STEPS if cfg.full_scale else CI_DRIFT_STEPS)
     stride = _pick(cfg.stride, max(1, steps // 1000))
     series = energy_drift_run(model, configs, state, steps, stride)
     rows = []
@@ -355,7 +333,7 @@ def cmd_energy_drift(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_optimality(cfg: RunConfig) -> int:
+def cmd_optimality(cfg: argparse.Namespace) -> int:
     rows = []
     worst = 0.0
     for n, m, h, report, diag_pred, anti_pred in checks.closed_form_cases(
@@ -375,7 +353,7 @@ def cmd_optimality(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_sv_orders(cfg: RunConfig) -> int:
+def cmd_sv_orders(cfg: argparse.Namespace) -> int:
     if cfg.scheme is not None:
         scheme = Scheme(cfg.scheme)
         if scheme not in (Scheme.SV_PQ, Scheme.SV_QP):
@@ -383,11 +361,9 @@ def cmd_sv_orders(cfg: RunConfig) -> int:
         schemes = [scheme]
     else:
         schemes = [Scheme.SV_PQ, Scheme.SV_QP]
-    model = _build_model(cfg)
-    state = _initial_state(cfg, model)
-    m1 = _pick(cfg.m1, 1)
-    m2 = _pick(cfg.m2, 3)
-    grid = _h_grid(cfg)
+    model, state = _model_and_state(cfg)
+    m1, m2 = cfg.m1, cfg.m2
+    grid = default_h_grid(cfg.h_min, cfg.h_max, cfg.h_count)
     rows = []
     fit_lines = []
     for scheme in schemes:
@@ -406,7 +382,7 @@ def cmd_sv_orders(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_volume(cfg: RunConfig) -> int:
+def cmd_volume(cfg: argparse.Namespace) -> int:
     scheme, sweep = _one_sided_sweep(cfg, "volume sweeps cover the one-sided schemes")
     rows = []
     for r in sweep.rows:
@@ -430,7 +406,7 @@ def cmd_volume(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_selftest(cfg: RunConfig) -> int:
+def cmd_selftest(cfg: argparse.Namespace) -> int:
     failed = 0
     for num, criterion in checks.CRITERIA.items():
         ok, detail = criterion()
@@ -447,25 +423,19 @@ def cmd_selftest(cfg: RunConfig) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="key = value settings file")
-    common.add_argument("--out", metavar="PATH", help="output file ('-' for stdout)")
-    common.add_argument("--hamiltonian", choices=HAMILTONIANS)
-    common.add_argument("--scheme", choices=[s.value for s in Scheme])
-    common.add_argument("--N", dest="n", type=int, help="quadratic model dimension")
-    common.add_argument("--M", dest="m", type=int, help="fixed-point sweep count")
-    common.add_argument("--M1", dest="m1", type=int, help="sweeps in the first half step")
-    common.add_argument("--M2", dest="m2", type=int, help="sweeps in the second half step")
-    common.add_argument("--h", type=float, help="step size (dimensionless)")
-    common.add_argument("--steps", type=int)
-    common.add_argument("--stride", type=int, help="sampling interval in steps")
-    common.add_argument("--h-min", dest="h_min", type=float)
-    common.add_argument("--h-max", dest="h_max", type=float)
-    common.add_argument("--h-count", dest="h_count", type=int)
-    common.add_argument("--jobs", type=int, help="sweep worker processes; each pays process start-up")
-    common.add_argument(
-        "--full-scale", dest="full_scale", action="store_const", const=True,
-        help="run the long-horizon drift length",
-    )
-    common.add_argument("--variant", choices=("p", "q"), help="implicit side of the exact map")
+    for key, setting in SETTINGS.items():
+        help_text = setting.help
+        if setting.default is not None:
+            help_text += f" (default: {setting.default})"
+        if setting.type is bool:
+            common.add_argument(
+                setting.flag, dest=key, action="store_true", default=None, help=help_text
+            )
+        else:
+            common.add_argument(
+                setting.flag, dest=key, type=setting.type, choices=setting.choices or None,
+                metavar="PATH" if key == "out" else None, help=help_text,
+            )
 
     parser = argparse.ArgumentParser(
         prog="sympdefect",

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from sympdefect import checks
-from sympdefect.cli import main, parse_config_file
+from sympdefect import cli
+from sympdefect.cli import build_parser, main, parse_config_file, resolve_config
 
 
 def run_cli(capsys, argv):
@@ -40,7 +41,6 @@ def test_trajectory_rejects_zero_step(capsys):
     assert "h must be positive" in err
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
 def test_trajectory_blow_up_is_a_computational_failure(capsys):
     rc, _, err = run_cli(
         capsys, ["trajectory", "--h", "1000", "--steps", "50"]
@@ -157,12 +157,12 @@ def test_sv_orders_rejects_one_sided_schemes(capsys):
     assert "sv-pq or sv-qp" in err
 
 
-def test_volume_with_parallel_workers(capsys):
+def test_volume_csv_and_determinant_identity(capsys):
     rc, out, err = run_cli(
         capsys,
         [
             "volume", "--hamiltonian", "quadratic", "--scheme", "p-implicit",
-            "--M", "1", "--h-count", "3", "--jobs", "2",
+            "--M", "1", "--h-count", "3",
         ],
     )
     assert rc == 0
@@ -256,6 +256,32 @@ def test_config_file_errors(tmp_path, capsys):
     assert rc == 2
     assert "cannot read config file" in err
 
+    # the sweep worker count is no longer a setting
+    jobs = tmp_path / "jobs.cfg"
+    jobs.write_text("jobs = 2\n")
+    rc, _, err = run_cli(capsys, ["trajectory", "--config", str(jobs)])
+    assert rc == 2
+    assert ":1:" in err and "unknown key 'jobs'" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["trajectory", "--jobs", "2"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("key", list(cli.SETTINGS))
+def test_config_key_and_flag_resolve_alike(tmp_path, key):
+    setting = cli.SETTINGS[key]
+    if setting.choices:
+        raw = setting.choices[-1]
+    else:
+        raw = {int: "4", float: "0.05", str: "out.csv", bool: "yes"}[setting.type]
+    config = tmp_path / "one.cfg"
+    config.write_text(f"{key} = {raw}\n")
+    flags = [setting.flag] if setting.type is bool else [setting.flag, raw]
+    parser = build_parser()
+    from_file = resolve_config(parser.parse_args(["trajectory", "--config", str(config)]))
+    from_flag = resolve_config(parser.parse_args(["trajectory", *flags]))
+    assert getattr(from_file, key) == getattr(from_flag, key) != setting.default
+
 
 def test_parse_config_file_normalizes_keys(tmp_path):
     config = tmp_path / "keys.cfg"
@@ -264,11 +290,19 @@ def test_parse_config_file_normalizes_keys(tmp_path):
     assert values == {"h_min": 0.01, "full_scale": True}
 
 
-def test_no_output_file_on_validation_failure(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trajectory", "--h", "0"],
+        ["defect-sweep", "--hamiltonian", "quadratic", "--h-min", "0.3"],
+        ["defect-sweep", "--hamiltonian", "quadratic", "--h-max", "0.01"],
+        ["defect-sweep", "--hamiltonian", "quadratic", "--h-count", "1"],
+    ],
+    ids=["zero-step", "h-min-above-default-h-max", "h-max-below-default-h-min", "one-point-grid"],
+)
+def test_no_output_file_on_validation_failure(tmp_path, capsys, argv):
     target = tmp_path / "out.csv"
-    rc, _, _ = run_cli(
-        capsys, ["trajectory", "--out", str(target), "--h", "0"]
-    )
+    rc, _, _ = run_cli(capsys, [*argv, "--out", str(target)])
     assert rc == 2
     assert not target.exists()
 
