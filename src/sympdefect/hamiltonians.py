@@ -34,6 +34,11 @@ from .state import NonFiniteIterateError, PhaseState
 # because the potential has a genuine singularity at rho = 0.
 AXIS_TOLERANCE = 1e-9
 
+# cmath.log's real part is not math.log's near 1 (CPython switches to a
+# log1p form there), and log(rho / R) lives near 1; this primitive keeps the
+# complex pass on the float step's arithmetic
+_LOG = CustomPrimitive(evaluate=math.log, derivative=lambda x: 1.0 / x, name="log")
+
 
 class AxisSingularityError(ValueError):
     """Evaluation requested on (or numerically at) the torus axis rho = 0."""
@@ -307,8 +312,8 @@ class TokamakModel(HamiltonianModel):
         """Dimensionless A(q) and optionally its Jacobian dA/dq.
 
         One body serves float and complex arrays: only the primitives differ
-        (math.sqrt/log and F_integral for floats, cmath.sqrt/log and the
-        registered flux primitive for complex steps), so both run the same
+        (math.sqrt/log and F_integral for floats, cmath.sqrt and the
+        registered log and flux primitives for complex steps), so both run the same
         operations in the same order, and guards compare real parts.  The
         arrays returned are read-only.  Results are memoised for one
         position; q is a 3-vector, so float and complex keys differ in
@@ -318,7 +323,7 @@ class TokamakModel(HamiltonianModel):
         if key == self._memo_key and (self._memo_jac is not None or not with_jacobian):
             return self._memo_pot, (self._memo_jac if with_jacobian else None)
         if q.dtype.kind == "c":
-            sqrt, log, flux_of = cmath.sqrt, cmath.log, self._flux
+            sqrt, log, flux_of = cmath.sqrt, _LOG, self._flux
         else:
             sqrt, log, flux_of = math.sqrt, math.log, self._flux_value
         par = self.params
