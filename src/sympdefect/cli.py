@@ -74,22 +74,28 @@ class Setting:
 SETTINGS: dict[str, Setting] = {
     "out": Setting("--out", str, "output file ('-' for stdout)"),
     "hamiltonian": Setting(
-        "--hamiltonian", str, "model", "tokamak", ("tokamak", "quadratic", "harmonic")
+        "--hamiltonian", str, "model", default="tokamak",
+        choices=("tokamak", "quadratic", "harmonic"),
     ),
     "scheme": Setting("--scheme", str, "integrator", choices=tuple(s.value for s in Scheme)),
-    "n": Setting("--N", int, "quadratic model dimension", minimum=2,
-                 reason=" for the quadratic model"),
+    "n": Setting(
+        "--N", int, "quadratic model dimension", minimum=2, reason=" for the quadratic model"
+    ),
     "m": Setting("--M", int, "fixed-point sweep count"),
-    "m1": Setting("--M1", int, "sweeps in the first half step", 1),
-    "m2": Setting("--M2", int, "sweeps in the second half step", 3),
+    "m1": Setting("--M1", int, "sweeps in the first half step", default=1),
+    "m2": Setting("--M2", int, "sweeps in the second half step", default=3),
     "h": Setting("--h", float, "step size (dimensionless)"),
     "steps": Setting("--steps", int, "number of steps"),
     "stride": Setting("--stride", int, "sampling interval in steps"),
-    "h_min": Setting("--h-min", float, "smallest step of a sweep grid", DEFAULT_H_MIN),
-    "h_max": Setting("--h-max", float, "largest step of a sweep grid", DEFAULT_H_MAX),
-    "h_count": Setting("--h-count", int, "points of a sweep grid", DEFAULT_H_COUNT, minimum=2),
-    "full_scale": Setting("--full-scale", bool, "run the long-horizon drift length", False),
-    "variant": Setting("--variant", str, "implicit side of the exact map", "p", ("p", "q")),
+    "h_min": Setting("--h-min", float, "smallest step of a sweep grid", default=DEFAULT_H_MIN),
+    "h_max": Setting("--h-max", float, "largest step of a sweep grid", default=DEFAULT_H_MAX),
+    "h_count": Setting(
+        "--h-count", int, "points of a sweep grid", default=DEFAULT_H_COUNT, minimum=2
+    ),
+    "full_scale": Setting("--full-scale", bool, "run the long-horizon drift length", default=False),
+    "variant": Setting(
+        "--variant", str, "implicit side of the exact map", default="p", choices=("p", "q")
+    ),
 }
 
 _TRUE = ("1", "true", "yes", "on")
@@ -434,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             common.add_argument(
                 setting.flag, dest=key, type=setting.type, choices=setting.choices or None,
-                metavar="PATH" if key == "out" else None, help=help_text,
+                help=help_text,
             )
 
     parser = argparse.ArgumentParser(
