@@ -12,7 +12,6 @@ from .defect import (
     analyze,
     coordinate_swap_check,
     defect_report,
-    delta_block_for,
     flow_jacobian_ad,
     flow_jacobian_analytic,
     flow_jacobian_fd,

@@ -178,13 +178,8 @@ def _model_and_state(cfg: argparse.Namespace):
 
 
 def _scheme_config(cfg: argparse.Namespace, scheme: Scheme, h: float) -> SchemeConfig:
-    if scheme in (Scheme.P_IMPLICIT, Scheme.Q_IMPLICIT):
-        return SchemeConfig(scheme, h, M=_pick(cfg.m, 3))
-    if scheme in (Scheme.SV_PQ, Scheme.SV_QP):
-        return SchemeConfig(scheme, h, M1=cfg.m1, M2=cfg.m2)
-    if scheme is Scheme.EXACT_QUADRATIC:
-        return SchemeConfig(scheme, h, variant=cfg.variant)
-    return SchemeConfig(scheme, h)
+    counts = {"M": _pick(cfg.m, 3), "M1": cfg.m1, "M2": cfg.m2}
+    return SchemeConfig(scheme, h, variant=cfg.variant, **{c: counts[c] for c in scheme.counts})
 
 
 def _check_scheme_model(cfg: argparse.Namespace, scheme: Scheme) -> None:
@@ -271,7 +266,7 @@ DEFECT_HEADER = [
 def _one_sided_sweep(cfg: argparse.Namespace, composition_error: str):
     """The (M, h) defect sweep behind both defect-sweep and volume."""
     scheme = Scheme(_pick(cfg.scheme, Scheme.Q_IMPLICIT.value))
-    if scheme in (Scheme.SV_PQ, Scheme.SV_QP):
+    if scheme.composition:
         raise ConfigError(composition_error)
     _check_scheme_model(cfg, scheme)
     model, state = _model_and_state(cfg)
@@ -360,13 +355,9 @@ def cmd_optimality(cfg: argparse.Namespace) -> int:
 
 
 def cmd_sv_orders(cfg: argparse.Namespace) -> int:
-    if cfg.scheme is not None:
-        scheme = Scheme(cfg.scheme)
-        if scheme not in (Scheme.SV_PQ, Scheme.SV_QP):
-            raise ConfigError("sv-orders needs scheme sv-pq or sv-qp")
-        schemes = [scheme]
-    else:
-        schemes = [Scheme.SV_PQ, Scheme.SV_QP]
+    schemes = [s for s in Scheme if s.composition and cfg.scheme in (None, s.value)]
+    if not schemes:
+        raise ConfigError("sv-orders needs scheme sv-pq or sv-qp")
     model, state = _model_and_state(cfg)
     m1, m2 = cfg.m1, cfg.m2
     grid = default_h_grid(cfg.h_min, cfg.h_max, cfg.h_count)

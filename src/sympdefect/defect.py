@@ -135,24 +135,6 @@ class DefectReport:
         return linalg.frobenius_norm(self.diag_p)
 
 
-def delta_block_for(scheme: Scheme, variant: str = "p") -> str:
-    """Which diagonal block carries the defect: the explicit variable's one.
-
-    The implicit side's block vanishes identically, so the measured block
-    is "q" (top-left) for p-implicit-flavoured maps and "p" (bottom-right)
-    for q-implicit-flavoured ones.
-    """
-    if scheme in (Scheme.P_IMPLICIT, Scheme.SV_QP):
-        return "q"
-    if scheme in (Scheme.Q_IMPLICIT, Scheme.SV_PQ):
-        return "p"
-    if scheme is Scheme.LINEAR_IMPLICIT_EM:
-        return "q"
-    if scheme is Scheme.EXACT_QUADRATIC:
-        return "q" if variant == "p" else "p"
-    raise ValueError(f"unknown scheme {scheme!r}")
-
-
 def defect_report(dflow: np.ndarray, delta_block: str = "q") -> DefectReport:
     """Decompose J~ = D^T J D for a flow Jacobian D of even size."""
     dflow = np.asarray(dflow, dtype=float)
@@ -184,9 +166,10 @@ def defect_report(dflow: np.ndarray, delta_block: str = "q") -> DefectReport:
 
 
 def analyze(model, config: SchemeConfig, state: PhaseState) -> DefectReport:
-    """AD flow Jacobian plus block decomposition, delta block auto-selected."""
+    """AD flow Jacobian plus block decomposition; delta measures the
+    explicit side's diagonal block (the one-sided maps zero the other)."""
     dflow = flow_jacobian_ad(model, config, state)
-    return defect_report(dflow, delta_block_for(config.scheme, config.variant))
+    return defect_report(dflow, "q" if config.implicit_side == "p" else "p")
 
 
 def volume_defect(dflow: np.ndarray, report: DefectReport | None = None):

@@ -128,10 +128,12 @@ def defect_sweep(
 ) -> DefectSweep:
     """Defect quantities over an (M, h) grid, with per-M order fits."""
     scheme = Scheme(scheme)
+    if scheme.composition:
+        raise ValueError(
+            f"{scheme.value} is a composition; measure its blocks with sv_block_orders"
+        )
     h_values = np.asarray(h_values, dtype=float)
-    m_list = [None] if scheme in (Scheme.LINEAR_IMPLICIT_EM, Scheme.EXACT_QUADRATIC) else [
-        int(m) for m in m_values
-    ]
+    m_list = [int(m) for m in m_values] if scheme.counts else [None]
     ms = [m for m in m_list for _ in h_values]
     hs = [float(h) for _ in m_list for h in h_values]
     columns = (repeat(model), repeat(scheme), repeat(variant), ms, hs, repeat(state))
@@ -168,7 +170,7 @@ def sv_block_orders(
     against zero, P12 against +I, P21 against -I.
     """
     scheme = Scheme(scheme)
-    if scheme not in (Scheme.SV_PQ, Scheme.SV_QP):
+    if not scheme.composition:
         raise ValueError(f"composition scheme expected, got {scheme.value!r}")
     n = model.dim
     eye = np.eye(n)
@@ -361,7 +363,7 @@ def energy_drift_run(
         out.append(
             DriftSeries(
                 scheme=config.scheme,
-                m=config.M,
+                m=config.M if "M" in config.scheme.counts else None,
                 step_indices=idx,
                 times=times,
                 errors=errs,

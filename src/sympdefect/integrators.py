@@ -5,7 +5,8 @@ fixed-point sweeps, always initialized at the explicit input value and never
 stopped early: the truncated map itself is the object under study, so an
 adaptive exit would change the flow being measured.  Two-sided compositions
 of half steps give the Stoermer-Verlet variants; the literal single-pass
-forms are kept alongside as references.
+forms are kept alongside as references.  Each `Scheme` member declares
+its sweep counts, implicit side and step once; other modules read them.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from enum import Enum
 
 import numpy as np
 
-from .hamiltonians import mixed_hessian
 from .linalg import solve
 from .state import NonFiniteIterateError, PhaseState
 
@@ -31,12 +31,38 @@ class IntegrationError(RuntimeError):
 
 
 class Scheme(str, Enum):
-    P_IMPLICIT = "p-implicit"
-    Q_IMPLICIT = "q-implicit"
-    SV_PQ = "sv-pq"
-    SV_QP = "sv-qp"
-    LINEAR_IMPLICIT_EM = "linear-implicit-em"
-    EXACT_QUADRATIC = "exact-quadratic"
+    """Each member is (value, counts, implicit side, step).
+
+    `counts` names the SchemeConfig counts the scheme takes (others are
+    ignored).  The implicit side, "p" or "q" (None: SchemeConfig.variant),
+    is the variable the map solves for, a composition's that of its second
+    half.  `step(model, state, config)` looks its step function up by name
+    at call time, so a patched module attribute (a tracer) takes effect.
+    """
+
+    P_IMPLICIT = "p-implicit", ("M",), "p", lambda f, z, c: step_p_implicit(f, z, c.h, c.M)
+    Q_IMPLICIT = "q-implicit", ("M",), "q", lambda f, z, c: step_q_implicit(f, z, c.h, c.M)
+    SV_PQ = "sv-pq", ("M1", "M2"), "q", lambda f, z, c: step_sv_pq(f, z, c.h, c.M1, c.M2)
+    SV_QP = "sv-qp", ("M1", "M2"), "p", lambda f, z, c: step_sv_qp(f, z, c.h, c.M1, c.M2)
+    LINEAR_IMPLICIT_EM = (
+        "linear-implicit-em", (), "p", lambda f, z, c: step_linear_implicit_em(f, z, c.h)
+    )
+    EXACT_QUADRATIC = (
+        "exact-quadratic", (), None, lambda f, z, c: exact_se_quadratic(f, z, c.h, c.variant)
+    )
+
+    def __new__(cls, value: str, counts: tuple[str, ...], implicit_side: str | None, step):
+        member = str.__new__(cls, value)
+        member._value_ = value
+        member.counts = counts
+        member.implicit_side = implicit_side
+        member.step = step
+        return member
+
+    @property
+    def composition(self) -> bool:
+        """Two half steps with their own counts M1 and M2."""
+        return self.counts == ("M1", "M2")
 
 
 @dataclass
@@ -59,17 +85,19 @@ class SchemeConfig:
         self.scheme = Scheme(self.scheme)
         if not (math.isfinite(self.h) and self.h > 0):
             raise ValueError(f"step size must be positive and finite, got {self.h}")
-        if self.scheme in (Scheme.P_IMPLICIT, Scheme.Q_IMPLICIT):
-            _require_count("M", self.M)
-        elif self.scheme in (Scheme.SV_PQ, Scheme.SV_QP):
-            _require_count("M1", self.M1)
-            _require_count("M2", self.M2)
-        elif self.scheme is Scheme.EXACT_QUADRATIC and self.variant not in ("p", "q"):
+        for name in self.scheme.counts:
+            _require_count(name, getattr(self, name))
+        if self.variant not in ("p", "q"):
             raise ValueError(f"variant must be 'p' or 'q', got {self.variant!r}")
+
+    @property
+    def implicit_side(self) -> str:
+        """The variable the step solves for, "p" or "q"."""
+        return self.scheme.implicit_side or self.variant
 
 
 def _require_count(name: str, value) -> None:
-    if not isinstance(value, (int, np.integer)) or value < 1:
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
@@ -210,19 +238,21 @@ def step_linear_implicit_em(model, state: PhaseState, h: float) -> PhaseState:
     return PhaseState(qt, pt)
 
 
-def exact_se_quadratic(state: PhaseState, h: float, variant: str = "p") -> PhaseState:
+def exact_se_quadratic(model, state: PhaseState, h: float, variant: str = "p") -> PhaseState:
     """Exactly solved symplectic Euler step for :class:`QuadraticModel`.
 
     The implicit relation is linear there, so one linear solve replaces the
-    fixed-point sweeps; this is the M -> infinity reference map.
+    fixed-point sweeps; this is the M -> infinity reference map.  Requires
+    a model exposing its constant coupling matrix.
     """
     _check_step(h)
     if variant not in ("p", "q"):
         raise ValueError(f"variant must be 'p' or 'q', got {variant!r}")
-    n = state.dim
-    coupling = mixed_hessian(n)
+    if not hasattr(model, "coupling"):
+        raise TypeError("model does not expose a constant coupling matrix")
+    coupling = model.coupling
     q, p = state.q, state.p
-    eye = np.eye(n)
+    eye = np.eye(state.dim)
     if variant == "p":
         pt = solve(eye + h * coupling, p - h * q)
         qt = q + h * (pt + coupling.T @ q)
@@ -236,20 +266,7 @@ def exact_se_quadratic(state: PhaseState, h: float, variant: str = "p") -> Phase
 
 def one_step(model, config: SchemeConfig, state: PhaseState) -> PhaseState:
     """Apply the configured scheme once."""
-    s = config.scheme
-    if s is Scheme.P_IMPLICIT:
-        return step_p_implicit(model, state, config.h, config.M)
-    if s is Scheme.Q_IMPLICIT:
-        return step_q_implicit(model, state, config.h, config.M)
-    if s is Scheme.SV_PQ:
-        return step_sv_pq(model, state, config.h, config.M1, config.M2)
-    if s is Scheme.SV_QP:
-        return step_sv_qp(model, state, config.h, config.M1, config.M2)
-    if s is Scheme.LINEAR_IMPLICIT_EM:
-        return step_linear_implicit_em(model, state, config.h)
-    if s is Scheme.EXACT_QUADRATIC:
-        return exact_se_quadratic(state, config.h, config.variant)
-    raise ValueError(f"unknown scheme {s!r}")
+    return config.scheme.step(model, state, config)
 
 
 @dataclass

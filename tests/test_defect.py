@@ -5,7 +5,6 @@ from sympdefect.defect import (
     analyze,
     coordinate_swap_check,
     defect_report,
-    delta_block_for,
     flow_jacobian_ad,
     flow_jacobian_analytic,
     flow_jacobian_fd,
@@ -33,14 +32,23 @@ def test_swap_is_the_structure_rotation(quad3_state):
     assert np.array_equal(swapped, j.T @ quad3_state.to_vector())
 
 
-def test_delta_block_assignment_is_the_explicit_side():
-    assert delta_block_for(Scheme.P_IMPLICIT) == "q"
-    assert delta_block_for(Scheme.Q_IMPLICIT) == "p"
-    assert delta_block_for(Scheme.SV_PQ) == "p"
-    assert delta_block_for(Scheme.SV_QP) == "q"
-    assert delta_block_for(Scheme.LINEAR_IMPLICIT_EM) == "q"
-    assert delta_block_for(Scheme.EXACT_QUADRATIC, "p") == "q"
-    assert delta_block_for(Scheme.EXACT_QUADRATIC, "q") == "p"
+def test_delta_block_assignment_is_the_explicit_side(quad3, quad3_state, tokamak, tokamak_state):
+    cases = [
+        (SchemeConfig(Scheme.P_IMPLICIT, 0.1, M=1), "q"),
+        (SchemeConfig(Scheme.Q_IMPLICIT, 0.1, M=1), "p"),
+        (SchemeConfig(Scheme.SV_PQ, 0.1, M1=1, M2=1), "p"),
+        (SchemeConfig(Scheme.SV_QP, 0.1, M1=1, M2=1), "q"),
+        (SchemeConfig(Scheme.LINEAR_IMPLICIT_EM, 0.1), "q"),
+        (SchemeConfig(Scheme.EXACT_QUADRATIC, 0.1, variant="p"), "q"),
+        (SchemeConfig(Scheme.EXACT_QUADRATIC, 0.1, variant="q"), "p"),
+    ]
+    for config, block in cases:
+        model, state = (
+            (tokamak, tokamak_state)
+            if config.scheme is Scheme.LINEAR_IMPLICIT_EM else (quad3, quad3_state)
+        )
+        assert config.implicit_side != block
+        assert analyze(model, config, state).delta_block == block
 
 
 def test_report_of_identity_flow():

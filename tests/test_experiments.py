@@ -121,6 +121,12 @@ def test_block_orders_reject_one_sided_schemes(quad3, quad3_state):
         sv_block_orders(quad3, Scheme.P_IMPLICIT, 1, 1, default_h_grid(), quad3_state)
 
 
+@pytest.mark.parametrize("scheme", [Scheme.SV_PQ, Scheme.SV_QP])
+def test_defect_sweep_points_compositions_to_block_orders(scheme, quad3, quad3_state):
+    with pytest.raises(ValueError, match=f"{scheme.value} is a composition.*sv_block_orders"):
+        defect_sweep(quad3, scheme, [1], default_h_grid(), quad3_state)
+
+
 def test_classify_flat_series_as_bounded():
     assert classify_drift(np.full(200, 1.0)) == "bounded"
     assert classify_drift(np.zeros(200)) == "bounded"
@@ -171,6 +177,13 @@ def test_drift_run_flags_blow_up(oscillator, oscillator_state):
     assert series.blown_up
     assert len(series.errors) < 201
     assert series.label == "p-implicit[M=1]"
+
+
+def test_drift_label_ignores_a_count_the_scheme_does_not_take(tokamak, tokamak_state):
+    config = SchemeConfig(Scheme.LINEAR_IMPLICIT_EM, 0.25, M=7)
+    (series,) = energy_drift_run(tokamak, [config], tokamak_state, steps=20, stride=5)
+    assert series.m is None
+    assert series.label == "linear-implicit-em"
 
 
 def test_drift_run_validation(oscillator, oscillator_state):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sympdefect.autodiff import STEP
+from sympdefect.defect import analyze
 from sympdefect.experiments import energy_drift_run
 from sympdefect.hamiltonians import quadratic_model
 from sympdefect.integrators import (
@@ -43,6 +44,8 @@ def test_config_requires_m_for_one_sided_schemes():
         SchemeConfig(Scheme.P_IMPLICIT, 0.1)
     with pytest.raises(ValueError):
         SchemeConfig(Scheme.Q_IMPLICIT, 0.1, M=0)
+    with pytest.raises(ValueError, match="M must be an integer >= 1, got True"):
+        SchemeConfig(Scheme.Q_IMPLICIT, 0.1, M=True)
     SchemeConfig(Scheme.P_IMPLICIT, 0.1, M=1)
 
 
@@ -61,6 +64,8 @@ def test_config_rejects_bad_step_and_variant():
         SchemeConfig(Scheme.P_IMPLICIT, -0.1, M=1)
     with pytest.raises(ValueError):
         SchemeConfig(Scheme.EXACT_QUADRATIC, 0.1, variant="x")
+    with pytest.raises(ValueError, match="variant"):
+        SchemeConfig(Scheme.P_IMPLICIT, 0.1, M=1, variant="x")
 
 
 def test_config_accepts_scheme_names():
@@ -77,8 +82,8 @@ def test_zero_step_is_identity(quad3, quad3_state):
         lambda: step_sv_qp(quad3, quad3_state, 0.0, 1, 2),
         lambda: step_sv_pq_direct(quad3, quad3_state, 0.0, 1, 2),
         lambda: step_sv_qp_direct(quad3, quad3_state, 0.0, 1, 2),
-        lambda: exact_se_quadratic(quad3_state, 0.0, "p"),
-        lambda: exact_se_quadratic(quad3_state, 0.0, "q"),
+        lambda: exact_se_quadratic(quad3, quad3_state, 0.0, "p"),
+        lambda: exact_se_quadratic(quad3, quad3_state, 0.0, "q"),
     ):
         assert np.array_equal(step().to_vector(), z0)
 
@@ -205,14 +210,14 @@ def test_linear_implicit_is_fully_converged_momentum_solve(tokamak, tokamak_stat
 def test_exact_quadratic_variants_satisfy_their_implicit_relations(quad3, quad3_state):
     h = 0.1
     q, p = quad3_state.q, quad3_state.p
-    out_p = exact_se_quadratic(quad3_state, h, "p")
+    out_p = exact_se_quadratic(quad3, quad3_state, h, "p")
     np.testing.assert_allclose(
         out_p.p, p - h * quad3.grad_q(q, out_p.p), rtol=1e-13
     )
     np.testing.assert_allclose(
         out_p.q, q + h * quad3.grad_p(q, out_p.p), rtol=1e-13
     )
-    out_q = exact_se_quadratic(quad3_state, h, "q")
+    out_q = exact_se_quadratic(quad3, quad3_state, h, "q")
     np.testing.assert_allclose(
         out_q.q, q + h * quad3.grad_p(out_q.q, p), rtol=1e-13
     )
@@ -221,9 +226,16 @@ def test_exact_quadratic_variants_satisfy_their_implicit_relations(quad3, quad3_
     )
 
 
-def test_exact_quadratic_rejects_bad_variant(quad3_state):
+def test_exact_quadratic_rejects_bad_variant(quad3, quad3_state):
     with pytest.raises(ValueError):
-        exact_se_quadratic(quad3_state, 0.1, "pq")
+        exact_se_quadratic(quad3, quad3_state, 0.1, "pq")
+
+
+def test_exact_quadratic_requires_a_coupling_matrix(tokamak, tokamak_state):
+    with pytest.raises(TypeError, match="coupling"):
+        exact_se_quadratic(tokamak, tokamak_state, 0.1)
+    with pytest.raises(TypeError, match="coupling"):
+        one_step(tokamak, SchemeConfig(Scheme.EXACT_QUADRATIC, 0.1), tokamak_state)
 
 
 def test_sweeps_converge_to_exact_map_at_one_order_per_sweep(quad3, quad3_state):
@@ -232,7 +244,7 @@ def test_sweeps_converge_to_exact_map_at_one_order_per_sweep(quad3, quad3_state)
         ds = []
         for h in hs:
             a = step_p_implicit(quad3, quad3_state, float(h), m).to_vector()
-            b = exact_se_quadratic(quad3_state, float(h), "p").to_vector()
+            b = exact_se_quadratic(quad3, quad3_state, float(h), "p").to_vector()
             ds.append(np.linalg.norm(a - b))
         slope = np.polyfit(np.log(hs), np.log(ds), 1)[0]
         assert abs(slope - (m + 1)) < 0.3
@@ -251,6 +263,39 @@ def test_one_step_dispatches_every_scheme(quad3, quad3_state, tokamak, tokamak_s
         out = one_step(model, config, state)
         assert out.dim == state.dim
         assert np.all(np.isfinite(out.to_vector().astype(float)))
+
+
+SCHEME_STEPS = {
+    Scheme.P_IMPLICIT: lambda f, z: step_p_implicit(f, z, 0.1, 2),
+    Scheme.Q_IMPLICIT: lambda f, z: step_q_implicit(f, z, 0.1, 2),
+    Scheme.SV_PQ: lambda f, z: step_sv_pq(f, z, 0.1, 2, 3),
+    Scheme.SV_QP: lambda f, z: step_sv_qp(f, z, 0.1, 2, 3),
+    Scheme.LINEAR_IMPLICIT_EM: lambda f, z: step_linear_implicit_em(f, z, 0.1),
+    Scheme.EXACT_QUADRATIC: lambda f, z: exact_se_quadratic(f, z, 0.1, "q"),
+}
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_every_scheme_is_declared(scheme, quad3, quad3_state, tokamak, tokamak_state):
+    counts = {"M": 2, "M1": 2, "M2": 3}
+    assert scheme.counts in (("M",), ("M1", "M2"), ())
+    for missing in scheme.counts:
+        with pytest.raises(ValueError, match=f"{missing} must be an integer"):
+            SchemeConfig(scheme, 0.1, **{**counts, missing: None})
+    SchemeConfig(scheme, 0.1, **{c: counts[c] for c in scheme.counts})
+    # counts the scheme does not take are ignored
+    config = SchemeConfig(scheme, 0.1, variant="q", **counts)
+    model, state = (
+        (tokamak, tokamak_state) if scheme is Scheme.LINEAR_IMPLICIT_EM else (quad3, quad3_state)
+    )
+    out = one_step(model, config, state)
+    assert np.array_equal(out.to_vector(), SCHEME_STEPS[scheme](model, state).to_vector())
+    report = analyze(model, config, state)
+    assert {report.delta_block, config.implicit_side} == {"q", "p"}
+    if not scheme.composition:
+        # the one-sided maps zero the implicit side's diagonal block
+        implicit_block = report.diag_p if config.implicit_side == "p" else report.diag_q
+        assert np.linalg.norm(implicit_block) <= 1e-12
 
 
 def test_integrate_single_step_equals_step_function(quad3, quad3_state):
