@@ -46,8 +46,10 @@ for n in (2, 3, 5):
         print(f"{n:>3} {m:>3} {h:>6.2f} {diag:>14.3e} {anti:>17.3e}{note}")
 
 print()
-cp = coupling_power(5, 3)
+c3 = coupling_power(5, 3)
+# band l (row minus column) is c3[l, 0] below the diagonal, c3[0, -l] above
+bands = {l: int(c3[l, 0] if l >= 0 else c3[0, -l]) for l in range(-4, 5)}
 print("bands of C^3 for N=5 (offset: value, positive below the diagonal):")
-print("  ", {k: v for k, v in sorted(cp.band.items())})
+print("  ", bands)
 for l in range(1, 5):
-    print(f"  wrap identity at l={l}: -2*{cp.diagonal_value(l)} == {cp.diagonal_value(l - 5)}")
+    print(f"  wrap identity at l={l}: -2*{bands[l]} == {bands[l - 5]}")

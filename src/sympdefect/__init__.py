@@ -73,15 +73,12 @@ from .integrators import (
     step_sv_qp_direct,
 )
 from .linalg import (
-    bracket,
     determinant,
     frobenius_norm,
-    mat_pow,
-    skew_part,
     solve,
     symplectic_matrix,
 )
-from .quadratic_oracle import CouplingPower, coupling_power, predicted_defect_blocks
+from .quadratic_oracle import coupling_power, predicted_defect_blocks
 from .state import PhaseState
 
 __version__ = "0.1.0"

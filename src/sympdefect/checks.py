@@ -246,16 +246,15 @@ def criterion_11():
     failures = []
     for n in range(2, 9):
         for m in range(1, 7):
-            cp = coupling_power(n, m)
-            mat = cp.matrix
+            mat = coupling_power(n, m)
             for l in range(1, n):
-                # band offsets are row minus column: positive below the
-                # main diagonal, the mirror of numpy's diagonal offsets
-                below_ok = np.all(np.diagonal(mat, -l) == cp.diagonal_value(l))
-                above_ok = np.all(np.diagonal(mat, l) == cp.diagonal_value(-l))
+                # band l (row minus column) starts at mat[l, 0] below the
+                # main diagonal and band -l at mat[0, l] above it
+                below_ok = np.all(np.diagonal(mat, -l) == mat[l, 0])
+                above_ok = np.all(np.diagonal(mat, l) == mat[0, l])
                 if not (below_ok and above_ok):
                     failures.append(f"N={n} M={m}: off-diagonal {l} not constant")
-                if -2 * cp.diagonal_value(l) != cp.diagonal_value(l - n):
+                if -2 * mat[l, 0] != mat[0, n - l]:
                     failures.append(f"N={n} M={m}: wrap identity fails at {l}")
             symmetric = bool(np.array_equal(mat, mat.T))
             if n == 2 and m % 2 == 0:

@@ -119,7 +119,7 @@ def parse_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     out = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -460,12 +460,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = resolve_config(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return args.func(cfg)
+        return args.func(resolve_config(args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -290,7 +290,7 @@ class DriftSeries:
         return self.scheme.value if self.m is None else f"{self.scheme.value}[M={self.m}]"
 
 
-def classify_drift(errors, burn_in: float = BURN_IN_FRACTION) -> str:
+def classify_drift(errors) -> str:
     """\"drifting\", \"bounded\" or \"indeterminate\" for an error series.
 
     After discarding the burn-in prefix: drifting if the final-decile mean
@@ -305,8 +305,7 @@ def classify_drift(errors, burn_in: float = BURN_IN_FRACTION) -> str:
     e = np.asarray(errors, dtype=float)
     if e.ndim != 1 or e.size == 0:
         raise ValueError("error series must be a non-empty vector")
-    start = int(np.ceil(burn_in * e.size))
-    e = e[start:]
+    e = e[int(np.ceil(BURN_IN_FRACTION * e.size)):]
     if e.size < MIN_DRIFT_SAMPLES:
         return "indeterminate"
     decile = max(1, e.size // 10)

@@ -186,7 +186,10 @@ class HamiltonianModel:
         return jac[:n, :n], jac[n:, n:], jac[:n, n:]
 
     def energy(self, state: PhaseState) -> float:
-        return float(self.value(state.q, state.p))
+        # a diverging orbit passes finite states whose energy exceeds the
+        # float range; that energy is inf, with no numpy warning
+        with np.errstate(over="ignore"):
+            return float(self.value(state.q, state.p))
 
 
 class HarmonicOscillator(HamiltonianModel):
@@ -211,11 +214,8 @@ def mixed_hessian(n: int, dtype=float) -> np.ndarray:
     """Constant coupling matrix with 0 diagonal, -2 above it and +1 below."""
     if n < 2:
         raise ValueError(f"dimension must be at least 2, got {n}")
-    m = np.zeros((n, n), dtype=dtype)
-    for i in range(n):
-        m[i, :i] = 1
-        m[i, i + 1 :] = -2
-    return m
+    ones = np.ones((n, n), dtype=dtype)
+    return np.tril(ones, -1) - 2 * np.triu(ones, 1)
 
 
 class QuadraticModel(HamiltonianModel):
@@ -372,9 +372,6 @@ class TokamakModel(HamiltonianModel):
 
     def vector_potential(self, q: np.ndarray) -> np.ndarray:
         return self.potential_and_jacobian(q, with_jacobian=False)[0]
-
-    def potential_jacobian(self, q: np.ndarray) -> np.ndarray:
-        return self.potential_and_jacobian(q, with_jacobian=True)[1]
 
     def value(self, q, p):
         d = p - self.vector_potential(q)

@@ -276,15 +276,12 @@ class Trajectory:
     step_indices: np.ndarray
     times: np.ndarray
     states: np.ndarray
-    energies: np.ndarray | None
+    energies: np.ndarray
     config: SchemeConfig
 
     @property
     def dim(self) -> int:
         return self.states.shape[1] // 2
-
-    def state_at(self, i: int) -> PhaseState:
-        return PhaseState.from_vector(self.states[i])
 
 
 def orbit(model, config: SchemeConfig, state: PhaseState, steps: int, stride: int = 1):
@@ -310,7 +307,6 @@ def integrate(
     state: PhaseState,
     steps: int,
     stride: int = 1,
-    record_energy: bool = True,
 ) -> Trajectory:
     """Iterate the one-step map, sampling every `stride` steps.
 
@@ -323,17 +319,16 @@ def integrate(
         raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
     indices = []
     rows = []
-    energies = [] if record_energy else None
+    energies = []
     for k, current in orbit(model, config, state, steps, stride):
         indices.append(k)
         rows.append(current.to_vector().astype(float))
-        if energies is not None:
-            energies.append(model.energy(current))
+        energies.append(model.energy(current))
     idx = np.array(indices, dtype=int)
     return Trajectory(
         step_indices=idx,
         times=config.h * idx,
         states=np.array(rows),
-        energies=None if energies is None else np.array(energies),
+        energies=np.array(energies),
         config=config,
     )

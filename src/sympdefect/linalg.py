@@ -1,8 +1,10 @@
 """Dense linear algebra for small phase-space matrices.
 
-Everything here operates on plain numpy arrays.  :func:`solve` also takes
-the complex steps of :mod:`sympdefect.autodiff`, so flows that solve a
-linear system can be differentiated with no solve rule of their own.
+Only what numpy does not already say in one call lives here: the checked
+solve, the canonical structure matrix, and norms and determinants that
+refuse non-finite input.  :func:`solve` also takes the complex steps of
+:mod:`sympdefect.autodiff`, so flows that solve a linear system can be
+differentiated with no solve rule of their own.
 """
 
 from __future__ import annotations
@@ -10,8 +12,6 @@ from __future__ import annotations
 import cmath
 
 import numpy as np
-
-MAX_POWER = 64
 
 
 def _check_square(a: np.ndarray, name: str = "matrix") -> int:
@@ -38,22 +38,6 @@ def solve(a, b) -> np.ndarray:
     return np.linalg.solve(a, b)
 
 
-def bracket(r: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Antisymmetrized product R^T S - S^T R of two equal-shape blocks."""
-    r = np.asarray(r)
-    s = np.asarray(s)
-    if r.shape != s.shape or r.ndim != 2:
-        raise ValueError(f"operands must be equal-shape 2-d arrays, got {r.shape} and {s.shape}")
-    return r.T @ s - s.T @ r
-
-
-def skew_part(a: np.ndarray) -> np.ndarray:
-    """Skew-symmetric part (A - A^T) / 2."""
-    a = np.asarray(a)
-    _check_square(a)
-    return (a - a.T) / 2
-
-
 def symplectic_matrix(n: int) -> np.ndarray:
     """Canonical structure matrix [[0, I], [-I, 0]] of size 2n x 2n."""
     if n < 1:
@@ -76,15 +60,3 @@ def determinant(a: np.ndarray) -> float:
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
     return float(np.linalg.det(a))
-
-
-def mat_pow(a: np.ndarray, k: int) -> np.ndarray:
-    """k-th power by repeated multiplication, preserving the input dtype."""
-    n = _check_square(a)
-    if not 0 <= k <= MAX_POWER:
-        raise ValueError(f"exponent must be in [0, {MAX_POWER}], got {k}")
-    a = np.asarray(a)
-    out = np.eye(n, dtype=a.dtype)
-    for _ in range(k):
-        out = out @ a
-    return out

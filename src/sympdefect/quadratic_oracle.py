@@ -4,58 +4,38 @@ For the quadratic Hamiltonian the momentum sweeps are polynomials in the
 constant mixed Hessian, and the defect blocks of the p-implicit step with M
 sweeps collapse to single powers of the coupling matrix:
 
-    diagonal block   = 2 (-1)^M h^(M+1) skew(C^M)
+    diagonal block   = (-1)^M h^(M+1) (C^M - (C^M)^T)
     antidiagonal     = I + (-1)^M h^(M+1) C^(M+1)
 
 with C the coupling matrix from :func:`sympdefect.hamiltonians.mixed_hessian`.
-The powers C^M are Toeplitz with integer entries and are computed here in
-exact int64 arithmetic, giving an independent oracle for the AD route.
+:func:`coupling_power` returns C^M itself, an int64 Toeplitz matrix computed
+in exact integer arithmetic, giving an independent oracle for the AD route.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .hamiltonians import mixed_hessian
 
 MAX_DIM = 64
 MAX_SWEEPS = 16
 
 
-@dataclass
-class CouplingPower:
-    """Exact integer power C^m of the n x n coupling matrix.
+def coupling_power(n: int, m: int) -> np.ndarray:
+    """C^m of the n x n coupling matrix in exact int64 arithmetic.
 
-    The power is Toeplitz: entry (i, j) depends only on i - j, recorded in
-    `band` with `band[l]` the value on diagonal offset l (row minus column,
-    so negative l is above the main diagonal).  `is_symmetric` records the
-    degenerate case where all off-diagonal bands vanish (n = 2 with even m);
-    the skew part, and with it the predicted diagonal defect block, is then
-    exactly zero.
-    """
-
-    n: int
-    m: int
-    matrix: np.ndarray
-    band: dict[int, int]
-    is_symmetric: bool
-
-    def diagonal_value(self, offset: int) -> int:
-        return self.band[offset]
-
-
-def coupling_power(n: int, m: int) -> CouplingPower:
-    """C^m in exact int64 arithmetic, with structural invariants asserted.
-
-    Checked on every call: the power is Toeplitz, and its bands satisfy the
-    wrap relation -2 band[l] = band[l - n] for l = 1..n-1 (m >= 1).  A
-    violation means the arithmetic overflowed or the construction is wrong,
-    so it raises instead of returning bad data.  Symmetry can occur only
-    when every off-diagonal band is zero and is reported, not rejected.
+    The power is Toeplitz: entry (i, j) depends only on the band l = i - j,
+    read as ``C[l, 0]`` for l >= 0 and ``C[0, -l]`` for l < 0.  Checked on
+    every call: the power is Toeplitz, and for m >= 1 its bands satisfy the
+    wrap relation -2 band[l] = band[l - n] for l = 1..n-1.  A violation
+    means the arithmetic overflowed or the construction is wrong, so it
+    raises instead of returning bad data.  With the wrap relation, a
+    symmetric power has every off-diagonal band zero (m = 0, or n = 2 with
+    even m), so its skew part, and with it the predicted diagonal block,
+    vanishes.
     """
     if not 2 <= n <= MAX_DIM:
         raise ValueError(f"dimension must be in [2, {MAX_DIM}], got {n}")
@@ -65,30 +45,13 @@ def coupling_power(n: int, m: int) -> CouplingPower:
     # combinations where that could leave the exact int64 range
     if m * math.log(2 * (n - 1)) > 62 * math.log(2):
         raise ValueError(f"C^{m} at size {n} may overflow int64")
-    base = mixed_hessian(n, dtype=np.int64)
-    power = linalg.mat_pow(base, m)
-
-    band: dict[int, int] = {}
-    for offset in range(-(n - 1), n):
-        row = max(0, offset)
-        col = row - offset
-        value = int(power[row, col])
-        band[offset] = value
-        diag = np.diagonal(power, offset=-offset)
-        if not np.all(diag == value):
-            raise ValueError(
-                f"power C^{m} of size {n} is not Toeplitz on offset {offset}"
-            )
-    if m >= 1:
-        for offset in range(1, n):
-            if -2 * band[offset] != band[offset - n]:
-                raise ValueError(
-                    f"band wrap relation fails at offset {offset} for C^{m}, size {n}"
-                )
-    symmetric = bool(np.array_equal(power, power.T))
-    if symmetric and any(band[l] != 0 for l in band if l != 0):
-        raise ValueError(f"inconsistent symmetry for C^{m} at size {n}")
-    return CouplingPower(n=n, m=m, matrix=power, band=band, is_symmetric=symmetric)
+    power = np.linalg.matrix_power(mixed_hessian(n, dtype=np.int64), m)
+    if not np.array_equal(power[1:, 1:], power[:-1, :-1]):
+        raise ValueError(f"power C^{m} of size {n} is not Toeplitz")
+    # power[1:, 0] holds bands 1..n-1 and power[0, :0:-1] bands 1-n..-1
+    if m >= 1 and not np.array_equal(-2 * power[1:, 0], power[0, :0:-1]):
+        raise ValueError(f"band wrap relation fails for C^{m}, size {n}")
+    return power
 
 
 def predicted_defect_blocks(n: int, m: int, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -97,8 +60,8 @@ def predicted_defect_blocks(n: int, m: int, h: float) -> tuple[np.ndarray, np.nd
     if h < 0 or not np.isfinite(h):
         raise ValueError(f"step size must be non-negative and finite, got {h}")
     sign = -1.0 if m % 2 else 1.0
-    power_m = coupling_power(n, m).matrix.astype(float)
-    power_m1 = coupling_power(n, m + 1).matrix.astype(float)
-    diag = 2.0 * sign * h ** (m + 1) * linalg.skew_part(power_m)
+    power_m = coupling_power(n, m).astype(float)
+    power_m1 = coupling_power(n, m + 1).astype(float)
+    diag = sign * h ** (m + 1) * (power_m - power_m.T)
     antidiag = np.eye(n) + sign * h ** (m + 1) * power_m1
     return diag, antidiag

@@ -48,6 +48,14 @@ def test_trajectory_blow_up_is_a_computational_failure(capsys):
     assert rc == 1
     assert "error:" in err
 
+    # at M=2 the orbit passes finite states whose energy overflows to inf
+    # before the field flux fails at step 3; that must not warn
+    rc, _, err = run_cli(
+        capsys, ["trajectory", "--h", "1000", "--M", "2", "--steps", "50"]
+    )
+    assert rc == 1
+    assert "failed at step 3" in err
+
 
 def test_defect_sweep_csv_and_fit_summary(capsys):
     rc, out, err = run_cli(
@@ -253,6 +261,12 @@ def test_config_file_errors(tmp_path, capsys):
     rc, _, err = run_cli(
         capsys, ["trajectory", "--config", str(tmp_path / "missing.cfg")]
     )
+    assert rc == 2
+    assert "cannot read config file" in err
+
+    not_utf8 = tmp_path / "not_utf8.cfg"
+    not_utf8.write_bytes(b"steps = 10\n# \xff\n")
+    rc, _, err = run_cli(capsys, ["jtilde", "--config", str(not_utf8)])
     assert rc == 2
     assert "cannot read config file" in err
 

@@ -149,7 +149,6 @@ def test_classify_short_series_as_indeterminate():
 def test_classify_burn_in_discards_initial_transient():
     e = np.concatenate(([1e3], np.linspace(1.0, 100.0, 199)))
     assert classify_drift(e) == "drifting"
-    assert classify_drift(e, burn_in=0.0) == "bounded"
 
 
 def test_classify_validation():

@@ -245,7 +245,7 @@ def test_potential_is_azimuthal_plus_vertical(tokamak):
 
 
 def test_potential_jacobian_is_trace_free(tokamak, tokamak_state):
-    jac = tokamak.potential_jacobian(tokamak_state.q)
+    jac = tokamak.potential_and_jacobian(tokamak_state.q)[1]
     assert jac[0, 0] + jac[1, 1] + jac[2, 2] == 0.0
 
 

@@ -303,7 +303,6 @@ def test_integrate_single_step_equals_step_function(quad3, quad3_state):
     traj = integrate(quad3, config, quad3_state, steps=1)
     direct = step_p_implicit(quad3, quad3_state, 0.1, 2)
     assert np.array_equal(traj.states[1], direct.to_vector())
-    assert traj.state_at(0).dim == 3
 
 
 def test_integrate_sampling_pattern(quad3, quad3_state):
@@ -331,16 +330,10 @@ def test_integrate_validation(quad3, quad3_state):
         integrate(quad3, config, quad3_state, steps=2.5)
 
 
-def test_integrate_can_skip_energy(quad3, quad3_state):
-    config = SchemeConfig(Scheme.P_IMPLICIT, 0.1, M=1)
-    traj = integrate(quad3, config, quad3_state, steps=3, record_energy=False)
-    assert traj.energies is None
-
-
 @pytest.mark.parametrize(
     "run",
     [
-        lambda model, config, state: integrate(model, config, state, steps=50, record_energy=False),
+        lambda model, config, state: integrate(model, config, state, steps=50),
         lambda model, config, state: energy_drift_run(model, [config], state, steps=50, stride=50),
     ],
     ids=["integrate", "energy_drift_run"],
@@ -363,8 +356,7 @@ def test_diverging_tokamak_orbit_fails_as_non_finite_iterate(config, tokamak, to
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(IntegrationError) as err:
-            integrate(tokamak, config, tokamak_state, steps=20_000, stride=20_000,
-                      record_energy=False)
+            integrate(tokamak, config, tokamak_state, steps=20_000, stride=20_000)
     assert err.value.step_index > 0
     assert isinstance(err.value.__cause__, NonFiniteIterateError)
 

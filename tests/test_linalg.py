@@ -1,84 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
-from sympdefect import linalg
 from sympdefect.autodiff import jacobian
 from sympdefect.linalg import (
-    bracket,
     determinant,
     frobenius_norm,
-    mat_pow,
-    skew_part,
     solve,
     symplectic_matrix,
 )
-
-square = arrays(
-    float,
-    (3, 3),
-    elements=st.floats(-10, 10, allow_nan=False, allow_infinity=False),
-)
-
-
-def test_bracket_of_matrix_with_itself_is_zero():
-    r = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(bracket(r, r), np.zeros((2, 2)))
-
-
-def test_bracket_with_identity():
-    s = np.array([[0.5, -1.0], [2.0, 0.25]])
-    assert np.array_equal(bracket(np.eye(2), s), s - s.T)
-
-
-def test_bracket_of_nilpotent_pair():
-    # R^T S and S^T R both vanish here, so the bracket is the zero matrix
-    r = np.array([[0.0, 1.0], [0.0, 0.0]])
-    s = np.array([[0.0, 0.0], [1.0, 0.0]])
-    assert np.array_equal(bracket(r, s), np.zeros((2, 2)))
-
-
-def test_bracket_rejects_shape_mismatch():
-    with pytest.raises(ValueError):
-        bracket(np.eye(2), np.eye(3))
-    with pytest.raises(ValueError):
-        bracket(np.ones(2), np.ones(2))
-
-
-@settings(max_examples=25, deadline=None)
-@given(square, square)
-def test_bracket_antisymmetry(r, s):
-    assert np.array_equal(bracket(r, s), -bracket(s, r))
-
-
-def test_skew_part_of_symmetric_is_zero():
-    a = np.array([[1.0, 2.0], [2.0, 5.0]])
-    assert np.array_equal(skew_part(a), np.zeros((2, 2)))
-
-
-def test_skew_part_of_skew_is_identity_map():
-    a = np.array([[0.0, 3.0], [-3.0, 0.0]])
-    assert np.array_equal(skew_part(a), a)
-
-
-def test_skew_part_example():
-    a = np.array([[1.0, 2.0], [0.0, 1.0]])
-    assert np.array_equal(skew_part(a), np.array([[0.0, 1.0], [-1.0, 0.0]]))
-
-
-def test_skew_part_rejects_nonsquare():
-    with pytest.raises(ValueError):
-        skew_part(np.ones((2, 3)))
-
-
-@settings(max_examples=25, deadline=None)
-@given(square)
-def test_skew_part_output_is_skew(a):
-    out = skew_part(a)
-    assert np.max(np.abs(out + out.T)) <= 1e-15 * max(1.0, np.max(np.abs(a)))
-
 
 def test_symplectic_matrix_smallest():
     assert np.array_equal(symplectic_matrix(1), np.array([[0.0, 1.0], [-1.0, 0.0]]))
@@ -184,30 +113,6 @@ def test_determinant_is_multiplicative():
 def test_determinant_rejects_nonfinite():
     with pytest.raises(ValueError):
         determinant(np.array([[np.inf, 0.0], [0.0, 1.0]]))
-
-
-def test_mat_pow_zero_gives_identity():
-    a = np.array([[2.0, 1.0], [0.0, 2.0]])
-    assert np.array_equal(mat_pow(a, 0), np.eye(2))
-
-
-def test_mat_pow_matches_repeated_product():
-    a = np.array([[1.0, 1.0], [0.0, 1.0]])
-    assert np.array_equal(mat_pow(a, 3), a @ a @ a)
-
-
-def test_mat_pow_preserves_integer_dtype():
-    a = np.array([[0, -2], [1, 0]], dtype=np.int64)
-    out = mat_pow(a, 4)
-    assert out.dtype == np.int64
-    assert np.array_equal(out, np.array([[4, 0], [0, 4]]))
-
-
-def test_mat_pow_rejects_bad_exponent():
-    with pytest.raises(ValueError):
-        mat_pow(np.eye(2), -1)
-    with pytest.raises(ValueError):
-        mat_pow(np.eye(2), linalg.MAX_POWER + 1)
 
 
 def test_frobenius_norm():

@@ -1,57 +1,98 @@
 import numpy as np
 import pytest
 
+from sympdefect import quadratic_oracle
 from sympdefect.defect import analyze
+from sympdefect.hamiltonians import mixed_hessian
 from sympdefect.integrators import Scheme, SchemeConfig
-from sympdefect.quadratic_oracle import coupling_power, predicted_defect_blocks
+from sympdefect.quadratic_oracle import MAX_SWEEPS, coupling_power, predicted_defect_blocks
 from sympdefect.state import PhaseState
 
 
+def band(power, offset):
+    """Value on band `offset` (row minus column) of a Toeplitz matrix."""
+    return power[offset, 0] if offset >= 0 else power[0, -offset]
+
+
 def test_first_power_band_signs():
-    cp = coupling_power(4, 1)
+    c = coupling_power(4, 1)
     for offset in range(-3, 4):
         expected = 0 if offset == 0 else (-2 if offset < 0 else 1)
-        assert cp.diagonal_value(offset) == expected
-    assert cp.matrix.dtype == np.int64
+        assert band(c, offset) == expected
+    assert c.dtype == np.int64
 
 
 def test_zeroth_power_is_identity():
-    cp = coupling_power(5, 0)
-    assert np.array_equal(cp.matrix, np.eye(5, dtype=np.int64))
-    assert cp.is_symmetric
+    c = coupling_power(5, 0)
+    assert c.dtype == np.int64
+    assert np.array_equal(c, np.eye(5, dtype=np.int64))
+    assert np.array_equal(c, c.T)
 
 
 def test_two_dimensional_even_powers_collapse_to_scaled_identity():
     sq = coupling_power(2, 2)
-    assert np.array_equal(sq.matrix, [[-2, 0], [0, -2]])
-    assert sq.is_symmetric
+    assert np.array_equal(sq, [[-2, 0], [0, -2]])
+    assert np.array_equal(sq, sq.T)
     for k in (1, 2, 3):
-        cp = coupling_power(2, 2 * k)
-        assert np.array_equal(cp.matrix, (-2) ** k * np.eye(2, dtype=np.int64))
+        c = coupling_power(2, 2 * k)
+        assert c.dtype == np.int64
+        assert np.array_equal(c, (-2) ** k * np.eye(2, dtype=np.int64))
 
 
 def test_symmetry_only_in_the_degenerate_cases():
     for n in range(2, 9):
         for m in range(0, 7):
-            cp = coupling_power(n, m)
-            assert cp.is_symmetric == (m == 0 or (n == 2 and m % 2 == 0))
-
-
-def test_band_matches_matrix_across_grid():
-    for n in (2, 3, 5, 8):
-        for m in (1, 2, 4, 6):
-            cp = coupling_power(n, m)
-            for offset, value in cp.band.items():
-                row = max(0, offset)
-                assert cp.matrix[row, row - offset] == value
+            c = coupling_power(n, m)
+            assert np.array_equal(c, c.T) == (m == 0 or (n == 2 and m % 2 == 0))
 
 
 def test_power_matches_repeated_multiplication():
-    base = coupling_power(5, 1).matrix
+    base = coupling_power(5, 1)
     acc = np.eye(5, dtype=np.int64)
     for m in range(0, 5):
-        assert np.array_equal(coupling_power(5, m).matrix, acc)
+        assert np.array_equal(coupling_power(5, m), acc)
         acc = acc @ base
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 33, 64])
+def test_power_equals_exact_integer_power(n):
+    # Python ints never overflow, so this checks every admitted power exactly
+    base = mixed_hessian(n, dtype=np.int64).astype(object)
+    exact = np.eye(n, dtype=np.int64).astype(object)
+    admitted = 0
+    for m in range(MAX_SWEEPS + 1):
+        try:
+            power = coupling_power(n, m)
+        except ValueError as exc:
+            assert "overflow" in str(exc)
+            break
+        assert power.dtype == np.int64
+        assert power.tolist() == exact.tolist()
+        exact = exact @ base
+        admitted += 1
+    assert admitted >= 9
+
+
+def test_non_toeplitz_power_is_refused(monkeypatch):
+    def perturbed(n, dtype=float):
+        c = mixed_hessian(n, dtype=dtype)
+        c[2, 1] = 5
+        return c
+
+    monkeypatch.setattr(quadratic_oracle, "mixed_hessian", perturbed)
+    with pytest.raises(ValueError, match="Toeplitz"):
+        coupling_power(4, 1)
+
+
+def test_wrong_wrap_ratio_is_refused(monkeypatch):
+    def rewrapped(n, dtype=float):
+        ones = np.ones((n, n), dtype=dtype)
+        return np.tril(ones, -1) - 3 * np.triu(ones, 1)
+
+    monkeypatch.setattr(quadratic_oracle, "mixed_hessian", rewrapped)
+    assert np.array_equal(coupling_power(4, 0), np.eye(4, dtype=np.int64))
+    with pytest.raises(ValueError, match="wrap"):
+        coupling_power(4, 1)
 
 
 def test_range_validation():
@@ -67,7 +108,7 @@ def test_range_validation():
 
 def test_overflow_guard():
     # (64, 8) still fits int64; (64, 16) is refused rather than wrapped
-    assert coupling_power(64, 8).band[0] == -501221085642
+    assert coupling_power(64, 8)[0, 0] == -501221085642
     with pytest.raises(ValueError, match="overflow"):
         coupling_power(64, 16)
 
@@ -86,8 +127,8 @@ def test_predicted_blocks_follow_the_closed_form():
     h = 0.1
     for m in (1, 2, 3):
         sign = (-1.0) ** m
-        c_m = coupling_power(3, m).matrix.astype(float)
-        c_m1 = coupling_power(3, m + 1).matrix.astype(float)
+        c_m = coupling_power(3, m).astype(float)
+        c_m1 = coupling_power(3, m + 1).astype(float)
         diag, antidiag = predicted_defect_blocks(3, m, h)
         np.testing.assert_allclose(
             diag, sign * h ** (m + 1) * (c_m - c_m.T), rtol=1e-15
