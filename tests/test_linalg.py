@@ -115,5 +115,26 @@ def test_determinant_rejects_nonfinite():
         determinant(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
+# quadratic_oracle.coupling_power takes its exact int64 powers from
+# np.linalg.matrix_power; these pin the behaviour it relies on.
+
+
+def test_mat_pow_zero_gives_identity():
+    a = np.array([[2.0, 1.0], [0.0, 2.0]])
+    assert np.array_equal(np.linalg.matrix_power(a, 0), np.eye(2))
+
+
+def test_mat_pow_matches_repeated_product():
+    a = np.array([[1.0, 1.0], [0.0, 1.0]])
+    assert np.array_equal(np.linalg.matrix_power(a, 3), a @ a @ a)
+
+
+def test_mat_pow_preserves_integer_dtype():
+    a = np.array([[0, -2], [1, 0]], dtype=np.int64)
+    out = np.linalg.matrix_power(a, 4)
+    assert out.dtype == np.int64
+    assert np.array_equal(out, np.array([[4, 0], [0, 4]]))
+
+
 def test_frobenius_norm():
     assert frobenius_norm(np.array([[3.0, 4.0], [0.0, 0.0]])) == 5.0
