@@ -1,12 +1,14 @@
 """Forward-mode differentiation by complex steps.
 
-:func:`jacobian` runs a vector map once per input on x + i STEP e_j and
-reads column j from the imaginary parts.  STEP is so small that its square
+:func:`jacobian` runs a vector map once, on the n-column batch whose
+column j is x + i STEP e_j, and reads column j of the Jacobian from the
+imaginary parts of output column j.  STEP is so small that its square
 underflows to zero, so complex arithmetic on these inputs is dual-number
 arithmetic: real parts are the float computation, imaginary parts its
 first-order tangents, and truncated iterations are differentiated exactly
-as executed.  Model code needs no number type of its own, only primitives
-that accept complex input (``cmath``, or a :class:`CustomPrimitive`).
+as executed.  Model code needs no number type of its own, only operations
+that act column by column on a trailing batch axis and primitives that
+accept complex input (``cmath``, or a :class:`CustomPrimitive`).
 """
 
 from __future__ import annotations
@@ -48,29 +50,31 @@ class CustomPrimitive:
 
 
 def jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Jacobian of a vector map at x, one complex-step pass per input.
+    """Jacobian of a vector map at x, from one complex-step pass over all inputs.
 
-    `fn` receives a complex vector and must return a sequence of numbers;
-    real entries are constant components.
+    `fn` receives the complex (n, n) batch whose column j seeds input j,
+    and must return an (m, n) array whose column j is the map at column j
+    of its input; entries with zero imaginary part are constant components.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError("seed point must be a one-dimensional vector")
     if not np.all(np.isfinite(x)):
         raise NonFiniteError("seed point has non-finite entries")
-    columns = []
-    for j in range(x.size):
-        z = x.astype(complex)
-        z[j] += STEP * 1j
-        out = np.asarray(fn(z), dtype=complex).ravel()
-        with np.errstate(over="ignore"):
-            column = out.imag / STEP
-        bad = ~(np.isfinite(out) & np.isfinite(column))
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise NonFiniteError(f"non-finite value or derivative in output component {i}")
-        columns.append(column)
-    return np.column_stack(columns)
+    n = x.size
+    z = np.empty((n, n), dtype=complex)
+    z.real = x[:, None]
+    z.imag = STEP * np.eye(n)
+    out = np.asarray(fn(z), dtype=complex)
+    if out.ndim != 2 or out.shape[1] != n:
+        raise ValueError(f"map must return one column per input ({n}), got shape {out.shape}")
+    with np.errstate(over="ignore"):
+        jac = out.imag / STEP
+    bad = ~(np.isfinite(out) & np.isfinite(jac))
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=1)))
+        raise NonFiniteError(f"non-finite value or derivative in output component {i}")
+    return jac
 
 
 def finite_difference_jacobian(

@@ -34,7 +34,8 @@ def swap_coordinates_inverse(state: PhaseState) -> PhaseState:
 
 
 def flow_map(model, config: SchemeConfig):
-    """The configured one-step map as a function of the flat state vector."""
+    """The configured one-step map as a function of the flat state vector
+    (2N,), or of a (2N, K) batch of them, one state per column."""
 
     def apply(z: np.ndarray) -> np.ndarray:
         return one_step(model, config, PhaseState.from_vector(z)).to_vector()
@@ -43,7 +44,8 @@ def flow_map(model, config: SchemeConfig):
 
 
 def flow_jacobian_ad(model, config: SchemeConfig, state: PhaseState) -> np.ndarray:
-    """Jacobian of the one-step map by complex-step forward AD (primary route)."""
+    """Jacobian of the one-step map by complex-step forward AD (primary route):
+    one step of the batch that seeds every phase-space coordinate."""
     return jacobian(flow_map(model, config), state.to_vector())
 
 

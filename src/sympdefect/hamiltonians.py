@@ -14,9 +14,12 @@ with the gyration scales (L0, T0, P0) the Hamiltonian is the minimally
 coupled kinetic energy H = |p - A(q)|^2 / 2.
 
 All model callables accept float or complex arrays, so flows built on them
-can be differentiated by complex-step forward mode unchanged.  The tokamak
-potential is one body for both: it picks real or complex primitives once
-per call and otherwise runs the same operations.
+can be differentiated by complex-step forward mode unchanged.  Gradients
+and the tokamak potential also take batches (N, K) with a trailing batch
+axis, so one step, and one forward-mode pass, covers K states; `value` and
+`energy` take single states only.  The tokamak potential is one body for
+both dtypes: it picks real or complex primitives once per call and
+otherwise runs the same operations, once per column of a batch.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import CustomPrimitive, jacobian
+from .linalg import transposed_product
 from .state import NonFiniteIterateError, PhaseState
 
 # Positions closer to the torus axis than this fraction of R are rejected
@@ -173,8 +177,8 @@ class HamiltonianModel:
     def hessian_blocks(self, q: np.ndarray, p: np.ndarray):
         """Blocks (H_qq, H_pp, H_pq) with H_pq[r, s] = d^2 H / dp_s dq_r.
 
-        By default the complex-step Jacobian of (grad_q, grad_p), one pass
-        per phase-space coordinate.
+        By default the complex-step Jacobian of (grad_q, grad_p): one
+        batched pass of both gradients over all 2N seed columns.
         """
         n = self.dim
 
@@ -298,7 +302,7 @@ class TokamakModel(HamiltonianModel):
         )
         # one-entry memo: fixed-point sweeps and adjacent steps revisit the
         # same position, so this halves field evaluations
-        self._memo_key: bytes | None = None
+        self._memo_key: bytes | tuple | None = None
         self._memo_pot: np.ndarray | None = None
         self._memo_jac: np.ndarray | None = None
 
@@ -314,12 +318,16 @@ class TokamakModel(HamiltonianModel):
         One body serves float and complex arrays: only the primitives differ
         (math.sqrt/log and F_integral for floats, cmath.sqrt and the
         registered log and flux primitives for complex steps), so both run the same
-        operations in the same order, and guards compare real parts.  The
-        arrays returned are read-only.  Results are memoised for one
-        position; q is a 3-vector, so float and complex keys differ in
-        length and never collide.
+        operations in the same order, and guards compare real parts.  For a
+        batch q of shape (3, K) the body runs once per column, and A has
+        shape (3, K) and dA/dq shape (3, 3, K).  The arrays returned are
+        read-only.  Results are memoised for one input.  A 3-vector's bytes
+        fix its dtype by their length, but a batch is keyed on its shape and
+        dtype as well: a float (3, 2) batch and a complex 3-vector can have
+        the same bytes.
         """
-        key = q.tobytes()
+        vector = q.ndim == 1
+        key = q.tobytes() if vector else (q.shape, q.dtype.char, q.tobytes())
         if key == self._memo_key and (self._memo_jac is not None or not with_jacobian):
             return self._memo_pot, (self._memo_jac if with_jacobian else None)
         if q.dtype.kind == "c":
@@ -329,43 +337,50 @@ class TokamakModel(HamiltonianModel):
         par = self.params
         b0, big_r, a = par.B0, par.R, par.a
         s = self.scales
-        x, y, z = q.tolist()
-        x, y, z = x * s.L0, y * s.L0, z * s.L0
-        u = x * x + y * y
-        rho = sqrt(u)
-        if rho.real <= AXIS_TOLERANCE * big_r:
-            raise AxisSingularityError(
-                f"position is within {AXIS_TOLERANCE:g} R of the torus axis"
-            )
-        dr = rho - big_r
-        r = sqrt(dr * dr + z * z)
-        # a diverging orbit overflows r, or F(r), while q itself is finite;
-        # any comparison with nan fails
-        flux = flux_of(r) if r.real < math.inf else math.inf
-        if not flux.real < math.inf:
-            raise NonFiniteIterateError(f"field flux overflows at radius {r.real:g} m")
-        w = flux / u
         inv_a0 = 1.0 / s.A0
-        pot = np.array([
-            -b0 * y * w * inv_a0,
-            b0 * x * w * inv_a0,
-            -b0 * big_r * log(rho / big_r) * inv_a0,
-        ])
+        pots, jacs = [], []
+        for x, y, z in (q.tolist(),) if vector else q.T.tolist():
+            x, y, z = x * s.L0, y * s.L0, z * s.L0
+            u = x * x + y * y
+            rho = sqrt(u)
+            if rho.real <= AXIS_TOLERANCE * big_r:
+                raise AxisSingularityError(
+                    f"position is within {AXIS_TOLERANCE:g} R of the torus axis"
+                )
+            dr = rho - big_r
+            r = sqrt(dr * dr + z * z)
+            # a diverging orbit overflows r, or F(r), while q itself is finite;
+            # any comparison with nan fails
+            flux = flux_of(r) if r.real < math.inf else math.inf
+            if not flux.real < math.inf:
+                raise NonFiniteIterateError(f"field flux overflows at radius {r.real:g} m")
+            w = flux / u
+            pots.append([
+                -b0 * y * w * inv_a0,
+                b0 * x * w * inv_a0,
+                -b0 * big_r * log(rho / big_r) * inv_a0,
+            ])
+            if with_jacobian:
+                # g = f(r)/r stays finite on the magnetic axis circle r = 0
+                g = (1.0 + r * r) / (big_r * (1.0 + a * r))
+                c = (g * dr / rho - 2.0 * w) / u
+                wx = x * c
+                wy = y * c
+                wz = g * z / u
+                scale = s.L0 / s.A0
+                jacs.append([
+                    -b0 * y * wx * scale, -b0 * (w + y * wy) * scale, -b0 * y * wz * scale,
+                    b0 * (w + x * wx) * scale, b0 * x * wy * scale, b0 * x * wz * scale,
+                    -b0 * big_r * x / u * scale, -b0 * big_r * y / u * scale, 0.0,
+                ])
+        if vector:
+            pot = np.array(pots[0])
+            jac = np.array(jacs[0]).reshape(3, 3) if with_jacobian else None
+        else:
+            pot = np.array(pots).T
+            jac = np.array(jacs).reshape(-1, 3, 3).transpose(1, 2, 0) if with_jacobian else None
         pot.setflags(write=False)
-        jac = None
-        if with_jacobian:
-            # g = f(r)/r stays finite on the magnetic axis circle r = 0
-            g = (1.0 + r * r) / (big_r * (1.0 + a * r))
-            c = (g * dr / rho - 2.0 * w) / u
-            wx = x * c
-            wy = y * c
-            wz = g * z / u
-            scale = s.L0 / s.A0
-            jac = np.array([
-                -b0 * y * wx * scale, -b0 * (w + y * wy) * scale, -b0 * y * wz * scale,
-                b0 * (w + x * wx) * scale, b0 * x * wy * scale, b0 * x * wz * scale,
-                -b0 * big_r * x / u * scale, -b0 * big_r * y / u * scale, 0.0,
-            ]).reshape(3, 3)
+        if jac is not None:
             jac.setflags(write=False)
         self._memo_key, self._memo_pot, self._memo_jac = key, pot, jac
         return pot, jac
@@ -380,7 +395,7 @@ class TokamakModel(HamiltonianModel):
     def grad_q(self, q, p):
         pot, jac = self.potential_and_jacobian(q)
         d = p - pot
-        return -(jac.T @ d)
+        return -transposed_product(jac, d)
 
     def grad_p(self, q, p):
         return p - self.vector_potential(q)

@@ -7,6 +7,8 @@ adaptive exit would change the flow being measured.  Two-sided compositions
 of half steps give the Stoermer-Verlet variants; the literal single-pass
 forms are kept alongside as references.  Each `Scheme` member declares
 its sweep counts, implicit side and step once; other modules read them.
+Every step also takes a batch of states (q and p of shape (N, K)) and
+steps each column as it would step that state alone.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import solve
+from .linalg import solve, transposed_product
 from .state import NonFiniteIterateError, PhaseState
 
 
@@ -109,8 +111,8 @@ def _check_step(h: float) -> None:
 def _check_finite(vec: np.ndarray, label: str) -> None:
     # a Python sum over tolist() costs a fraction of ndarray.sum on 3-vectors
     # and is non-finite whenever a component is (real or imaginary part), or
-    # when large finite ones overflow
-    if not (cmath.isfinite(sum(vec.tolist())) or np.isfinite(vec).all()):
+    # when large finite ones overflow; on a batch it costs more than isfinite
+    if not (vec.ndim == 1 and cmath.isfinite(sum(vec.tolist())) or np.isfinite(vec).all()):
         raise NonFiniteIterateError(f"non-finite {label}")
 
 
@@ -222,7 +224,7 @@ def step_linear_implicit_em(model, state: PhaseState, h: float) -> PhaseState:
     The momentum update solves the N x N system
     (I - h dA/dq(q))^T p~ = p - h (dA/dq(q))^T A(q), then
     q~ = q + h (p~ - A(q)).  Requires a model exposing the vector potential
-    and its Jacobian.
+    and its Jacobian.  A batch solves its K systems in one stacked solve.
     """
     _check_step(h)
     if not hasattr(model, "potential_and_jacobian"):
@@ -230,7 +232,7 @@ def step_linear_implicit_em(model, state: PhaseState, h: float) -> PhaseState:
     q, p = state.q, state.p
     pot, jac = model.potential_and_jacobian(q)
     lhs = np.eye(model.dim) - h * jac.T
-    rhs = p - h * (jac.T @ pot)
+    rhs = p - h * transposed_product(jac, pot)
     pt = solve(lhs, rhs)
     _check_finite(pt, "updated momentum")
     qt = q + h * (pt - pot)

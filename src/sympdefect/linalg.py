@@ -1,10 +1,13 @@
 """Dense linear algebra for small phase-space matrices.
 
 Only what numpy does not already say in one call lives here: the checked
-solve, the canonical structure matrix, and norms and determinants that
-refuse non-finite input.  :func:`solve` also takes the complex steps of
-:mod:`sympdefect.autodiff`, so flows that solve a linear system can be
-differentiated with no solve rule of their own.
+solve, the transposed matrix-vector product, the canonical structure
+matrix, and norms and determinants that refuse non-finite input.
+:func:`solve` also takes the complex steps of :mod:`sympdefect.autodiff`,
+so flows that solve a linear system can be differentiated with no solve
+rule of their own.  :func:`solve` and :func:`transposed_product` also
+take one matrix per column of a batch (see :class:`sympdefect.PhaseState`)
+and give each column what the unbatched call gives it.
 """
 
 from __future__ import annotations
@@ -24,6 +27,9 @@ def _check_square(a: np.ndarray, name: str = "matrix") -> int:
 def solve(a, b) -> np.ndarray:
     """Solve a x = b for a vector or matrix b by LAPACK's LU with partial pivoting.
 
+    A stack a of shape (K, n, n) pairs with b of shape (n, K): column k of
+    x solves a[k] x[:, k] = b[:, k], all K in one LAPACK call.
+
     On complex steps a = A + i e dA, b = B + i e dB it returns x + i e dx
     with dx = A^-1 (dB - dA x), the tangent rule, from the complex LU
     itself, while e * e underflows.  A singular matrix raises
@@ -35,7 +41,22 @@ def solve(a, b) -> np.ndarray:
     # also overflows for large finite entries, so np.isfinite confirms
     if not cmath.isfinite(sum(a.ravel().tolist())) and not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
+    if a.ndim == 3:
+        return np.linalg.solve(a, b.T[:, :, None])[:, :, 0].T
     return np.linalg.solve(a, b)
+
+
+def transposed_product(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a^T x; with a of shape (n, n, K) and x of shape (n, K), column by column.
+
+    The batch is one stacked matmul.  Its K matrices are laid out as the
+    transpose of a C-ordered matrix, as a.T is in the 2-D case, so BLAS
+    runs the same product and each column is bitwise the unbatched result.
+    """
+    if x.ndim == 1:
+        return a.T @ x
+    stack = np.ascontiguousarray(a.transpose(2, 0, 1))  # no copy for a tokamak Jacobian
+    return (stack.transpose(0, 2, 1) @ x.T[:, :, None])[:, :, 0].T
 
 
 def symplectic_matrix(n: int) -> np.ndarray:

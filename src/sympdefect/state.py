@@ -15,10 +15,13 @@ class NonFiniteIterateError(ValueError):
 
 @dataclass
 class PhaseState:
-    """A point (q, p) in 2N-dimensional phase space.
+    """A point (q, p) in 2N-dimensional phase space, or a batch of K points.
 
-    Entries are usually float64 but may be complex steps (complex128), so
-    that one-step maps can be differentiated by running them unchanged.
+    q and p have shape (N,), or (N, K) with a trailing batch axis whose
+    column k is the k-th point.  Entries are usually float64 but may be
+    complex steps (complex128): a Jacobian seeds one column per input
+    along that axis (the seed axis), so one-step maps are differentiated
+    by running them once, unchanged.
     """
 
     q: np.ndarray
@@ -28,28 +31,28 @@ class PhaseState:
         # asarray without a dtype keeps complex steps intact
         self.q = np.asarray(self.q)
         self.p = np.asarray(self.p)
-        if self.q.ndim != 1 or self.p.ndim != 1:
-            raise ValueError("q and p must be one-dimensional")
         if self.q.shape != self.p.shape:
             raise ValueError(
-                f"q and p must have equal length, got {self.q.size} and {self.p.size}"
+                f"q and p must have equal shapes, got {self.q.shape} and {self.p.shape}"
             )
+        if self.q.ndim not in (1, 2):
+            raise ValueError("q and p must be vectors (N,) or batches (N, K)")
 
     @property
     def dim(self) -> int:
         """Number of degrees of freedom N."""
-        return self.q.size
+        return self.q.shape[0]
 
     def to_vector(self) -> np.ndarray:
-        """Flatten to the length-2N vector (q_1..q_N, p_1..p_N)."""
+        """Stack to the length-2N vector (q_1..q_N, p_1..p_N), or (2N, K) batch."""
         return np.concatenate([self.q, self.p])
 
     @classmethod
     def from_vector(cls, z: np.ndarray) -> "PhaseState":
         z = np.asarray(z)
-        if z.ndim != 1 or z.size % 2:
-            raise ValueError("state vector must be one-dimensional with even length")
-        n = z.size // 2
+        if z.ndim not in (1, 2) or z.shape[0] % 2:
+            raise ValueError("state vector must have even length 2N, shape (2N,) or (2N, K)")
+        n = z.shape[0] // 2
         return cls(z[:n], z[n:])
 
     def copy(self) -> "PhaseState":

@@ -36,7 +36,8 @@ def test_power_rule():
 
 
 def test_elementary_functions_on_complex_steps():
-    got = jacobian(lambda z: [cmath.sqrt(z[0]), cmath.log(z[0]), cmath.exp(z[0])],
+    # cmath takes one number, so the map runs it on each seed column
+    got = jacobian(lambda z: [[f(v) for v in z[0]] for f in (cmath.sqrt, cmath.log, cmath.exp)],
                    np.array([4.0]))
     assert got[0, 0] == 0.25
     np.testing.assert_allclose(got[1:, 0], [0.25, math.exp(4.0)], rtol=1e-15)
@@ -46,7 +47,7 @@ def test_elementary_functions_on_complex_steps():
 @given(st.floats(0.1, 10.0))
 def test_chain_rule_against_closed_form(x):
     # f(x) = sqrt(x) log(x) has derivative (log(x) + 2) / (2 sqrt(x))
-    got = jacobian(lambda z: [cmath.sqrt(z[0]) * cmath.log(z[0])], np.array([x]))
+    got = jacobian(lambda z: [[cmath.sqrt(v) * cmath.log(v) for v in z[0]]], np.array([x]))
     expected = (math.log(x) + 2.0) / (2.0 * math.sqrt(x))
     np.testing.assert_allclose(got[0, 0], expected, rtol=1e-12)
 
@@ -57,9 +58,30 @@ def test_seeded_vector_validation():
         jacobian(lambda z: z, np.eye(2))
     with pytest.raises(NonFiniteError):
         jacobian(lambda z: z, np.array([1.0, math.inf]))
+    # one call, on the batch whose column j seeds input j
     seen = []
     jacobian(lambda z: seen.append(z.copy()) or z, np.array([1.0, 2.0]))
-    assert np.array_equal(seen[1], [1.0, 2.0 + STEP * 1j])
+    assert len(seen) == 1
+    assert np.array_equal(seen[0][:, 1], [1.0, 2.0 + STEP * 1j])
+
+
+def test_jacobian_calls_the_map_once():
+    calls = []
+
+    def fn(z):
+        calls.append(z.shape)
+        return [z[0] * z[1] * z[2], z[2] - z[0]]
+
+    got = jacobian(fn, np.array([1.0, 2.0, 3.0]))
+    assert calls == [(3, 3)]
+    assert np.array_equal(got, [[6.0, 3.0, 2.0], [-1.0, 0.0, 1.0]])
+
+
+def test_jacobian_rejects_output_without_one_column_per_input():
+    with pytest.raises(ValueError, match="one column per input"):
+        jacobian(lambda z: z[0].sum(), np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="one column per input"):
+        jacobian(lambda z: z[:, :1], np.array([1.0, 2.0]))
 
 
 def test_jacobian_of_linear_map_is_exact():
@@ -87,7 +109,7 @@ def test_jacobian_of_truncated_euler_step():
 
 
 def test_jacobian_constant_component_gives_zero_row():
-    got = jacobian(lambda z: [z[0], 5.0], np.array([1.0, 2.0]))
+    got = jacobian(lambda z: [z[0], np.full(z.shape[1], 5.0)], np.array([1.0, 2.0]))
     assert np.array_equal(got, [[1.0, 0.0], [0.0, 0.0]])
 
 
@@ -97,7 +119,7 @@ def test_jacobian_rejects_non_finite_output():
     # a finite value with an infinite derivative, and one whose derivative
     # overflows only when the step is divided out
     with pytest.raises(NonFiniteError, match="component 1"):
-        jacobian(lambda z: [z[0], complex(z[0].real, math.inf)], np.array([1.0]))
+        jacobian(lambda z: [z[0], [complex(v.real, math.inf) for v in z[0]]], np.array([1.0]))
     with pytest.raises(NonFiniteError, match="component 0"):
         jacobian(lambda z: z * 1e200 * 1e200, np.array([1e-300]))
 
@@ -107,7 +129,8 @@ def test_custom_primitive_supplies_registered_derivative():
     assert sine(0.0) == 0.0
 
     def fn(z):
-        return [sine(z[0]), sine(z[0]) + z[1]]
+        s = np.array([sine(v) for v in z[0]])
+        return [s, s + z[1]]
 
     got = jacobian(fn, np.array([0.6, 1.0]))
     np.testing.assert_allclose(

@@ -291,6 +291,40 @@ def test_float_path_memo_arrays_are_read_only():
             moved[2] = 0.0
 
 
+@pytest.mark.parametrize("as_input", [np.asarray, _complex_step], ids=["float", "complex"])
+def test_batch_potential_matches_each_column_bitwise(tokamak, tokamak_state, as_input):
+    rng = np.random.default_rng(4)
+    batch = as_input(tokamak_state.q[:, None] + 0.01 * rng.standard_normal((3, 5)))
+    pot, jac = TokamakModel().potential_and_jacobian(batch)
+    assert pot.shape == (3, 5) and jac.shape == (3, 3, 5)
+    with pytest.raises(ValueError):
+        jac[0, 0, 0] = 1.0
+    for k in range(5):
+        pot_k, jac_k = tokamak.potential_and_jacobian(batch[:, k].copy())
+        assert np.array_equal(pot[:, k], pot_k)
+        assert np.array_equal(jac[:, :, k], jac_k)
+
+
+def test_memo_tells_a_float_batch_from_a_complex_vector_with_equal_bytes(tokamak_state):
+    # the complex 3-vector (x + i y) and the float (3, 2) batch [x, y] are
+    # the same bytes; each must get its own potential
+    x = tokamak_state.q
+    y = x + np.array([2e-3, -1e-3, 5e-3])
+    vector = x + 1j * y
+    batch = np.stack([x, y], axis=1)
+    assert vector.tobytes() == batch.tobytes()
+    fresh = TokamakModel()
+    want_vector = fresh.potential_and_jacobian(vector)
+    want_batch = TokamakModel().potential_and_jacobian(batch)
+    for first, second, want in ((vector, batch, want_batch), (batch, vector, want_vector)):
+        model = TokamakModel()
+        model.potential_and_jacobian(first)
+        pot, jac = model.potential_and_jacobian(second)
+        assert pot.dtype == want[0].dtype and pot.shape == want[0].shape
+        assert np.array_equal(pot, want[0]) and np.array_equal(jac, want[1])
+    assert np.array_equal(want_batch[0][:, 1], fresh.vector_potential(y))
+
+
 @pytest.mark.parametrize(
     "x, as_input",
     [(1e110, np.asarray), (1e200, np.asarray), (1e110, _complex_step), (1e200, _complex_step)],

@@ -384,6 +384,57 @@ def test_check_finite_passes_finite_and_complex_vectors():
     _check_finite(np.array([1e308, 1e308, 0.0]) * (1 + 1j), "position iterate 1")
 
 
+@pytest.mark.parametrize("column", [0, 2, 4])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_check_finite_rejects_a_batch_with_one_bad_column(column, bad):
+    finite = np.linspace(-2.0, 3.0, 15).reshape(3, 5)
+    for batch, entry in ((finite, bad), (finite + STEP * 1j, complex(0.5, bad))):
+        vec = batch.copy()
+        vec[1, column] = entry
+        with pytest.raises(NonFiniteIterateError, match="non-finite momentum iterate 3"):
+            _check_finite(vec, "momentum iterate 3")
+    _check_finite(finite, "momentum iterate 3")
+    _check_finite(finite + STEP * 1j, "momentum iterate 3")
+
+
+SEPARABLE_SCHEMES = [Scheme.P_IMPLICIT, Scheme.Q_IMPLICIT, Scheme.SV_PQ, Scheme.SV_QP]
+BATCH_CASES = (
+    [("tokamak", s, "p") for s in SEPARABLE_SCHEMES + [Scheme.LINEAR_IMPLICIT_EM]]
+    + [("oscillator", s, "p") for s in SEPARABLE_SCHEMES]
+    + [("quadratic", s, "p") for s in SEPARABLE_SCHEMES]
+    + [("quadratic", Scheme.EXACT_QUADRATIC, v) for v in ("p", "q")]
+)
+# fixed before the test first ran: the quadratic model's matrix products
+# take BLAS's matrix-matrix path on a batch, which may round differently
+QUADRATIC_BATCH_RTOL = 1e-14
+
+
+@pytest.mark.parametrize(
+    "model_name, scheme, variant", BATCH_CASES,
+    ids=[f"{m}-{s.value}-{v}" for m, s, v in BATCH_CASES],
+)
+def test_batched_step_equals_separate_steps(model_name, scheme, variant, tokamak, tokamak_state, oscillator):
+    rng = np.random.default_rng(11)
+    k = 4
+    if model_name == "tokamak":
+        model = tokamak
+        q = tokamak_state.q[:, None] + 1e-3 * rng.standard_normal((3, k))
+        p = tokamak_state.p[:, None] * (1.0 + 0.05 * rng.standard_normal((3, k)))
+    else:
+        model = oscillator if model_name == "oscillator" else quadratic_model(8)
+        q, p = 0.5 * rng.standard_normal((2, model.dim, k))
+    config = SchemeConfig(scheme, 0.1, M=2, M1=1, M2=3, variant=variant)
+    batched = one_step(model, config, PhaseState(q, p))
+    assert batched.q.shape == batched.p.shape == (model.dim, k)
+    for c in range(k):
+        single = one_step(model, config, PhaseState(q[:, c].copy(), p[:, c].copy()))
+        got, want = batched.to_vector()[:, c], single.to_vector()
+        if model_name == "quadratic":
+            np.testing.assert_allclose(got, want, rtol=QUADRATIC_BATCH_RTOL, atol=0.0)
+        else:
+            assert np.array_equal(got, want), c
+
+
 @pytest.mark.parametrize(
     "config",
     [SchemeConfig(Scheme.LINEAR_IMPLICIT_EM, 0.25), SchemeConfig(Scheme.Q_IMPLICIT, 0.25, M=2)],

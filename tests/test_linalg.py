@@ -7,6 +7,7 @@ from sympdefect.linalg import (
     frobenius_norm,
     solve,
     symplectic_matrix,
+    transposed_product,
 )
 
 def test_symplectic_matrix_smallest():
@@ -90,7 +91,9 @@ def test_solve_derivative_through_jacobian(e, d):
     # d/dt of solve((A + t E) x = b + t d) at t=0 is A^-1 (d - E x0); a real
     # matrix (E = None) with a complex right-hand side is solved as is
     def fn(t):
-        return solve(A0 if e is None else A0 + t[0] * e, B0 + t[0] * d)
+        # one input: t is the (1, 1) seed batch, and x its one column
+        t = t[0, 0]
+        return solve(A0 if e is None else A0 + t * e, B0 + t * d)[:, None]
 
     x0 = np.linalg.solve(A0, B0)
     expected = np.linalg.solve(A0, d - (0.0 if e is None else e @ x0))
@@ -138,3 +141,24 @@ def test_mat_pow_preserves_integer_dtype():
 
 def test_frobenius_norm():
     assert frobenius_norm(np.array([[3.0, 4.0], [0.0, 0.0]])) == 5.0
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_batched_solve_and_product_match_each_column_bitwise(dtype):
+    # the stacked LAPACK solve and matmul give each column exactly the
+    # unbatched result
+    rng = np.random.default_rng(3)
+    k = 5
+    a = rng.standard_normal((3, 3, k)).astype(dtype)
+    x = rng.standard_normal((3, k)).astype(dtype)
+    if dtype is complex:
+        a += 2.0**-600 * 1j * rng.standard_normal((3, 3, k))
+        x += 2.0**-600 * 1j * rng.standard_normal((3, k))
+    lhs = np.eye(3) - 0.1 * a.T
+    product = transposed_product(a, x)
+    solved = solve(lhs, x)
+    assert product.shape == solved.shape == (3, k)
+    for c in range(k):
+        col_a, col_x = a[:, :, c].copy(), x[:, c].copy()
+        assert np.array_equal(product[:, c], transposed_product(col_a, col_x))
+        assert np.array_equal(solved[:, c], solve(np.eye(3) - 0.1 * col_a.T, col_x))

@@ -37,3 +37,34 @@ def test_copy_is_independent():
     dup = st.copy()
     dup.q[0] = 99.0
     assert st.q[0] == 1.0
+
+
+def test_batch_round_trips_through_vector():
+    q = np.arange(6.0).reshape(3, 2)
+    st = PhaseState(q, -q)
+    assert st.dim == 3
+    z = st.to_vector()
+    assert z.shape == (6, 2)
+    back = PhaseState.from_vector(z)
+    assert np.array_equal(back.q, q) and np.array_equal(back.p, -q)
+    # column k is the k-th state
+    assert np.array_equal(z[:, 1], PhaseState(q[:, 1], -q[:, 1]).to_vector())
+
+
+def test_rejects_mismatched_batch_shapes():
+    with pytest.raises(ValueError, match="equal shapes"):
+        PhaseState(np.zeros((3, 2)), np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="equal shapes"):
+        PhaseState(np.zeros((3, 2)), np.zeros(3))
+
+
+def test_rejects_three_dimensional_input():
+    with pytest.raises(ValueError):
+        PhaseState(np.zeros((3, 2, 2)), np.zeros((3, 2, 2)))
+    with pytest.raises(ValueError):
+        PhaseState.from_vector(np.zeros((6, 2, 2)))
+
+
+def test_from_vector_rejects_odd_length_batch():
+    with pytest.raises(ValueError):
+        PhaseState.from_vector(np.zeros((5, 2)))
