@@ -15,11 +15,10 @@ from sympdefect import (
     PhaseState,
     Scheme,
     SchemeConfig,
+    analyze,
     default_h_grid,
     defect_sweep,
-    flow_jacobian_ad,
     quadratic_model,
-    volume_defect,
 )
 
 model = quadratic_model(3)
@@ -27,11 +26,10 @@ state = PhaseState(0.3 * np.ones(3), -0.2 * np.ones(3))
 
 print("determinant identity at a few settings:")
 for m, h in ((1, 0.2), (2, 0.1), (3, 0.05)):
-    dflow = flow_jacobian_ad(model, SchemeConfig(Scheme.P_IMPLICIT, h, M=m), state)
-    det_flow, det_anti, gap = volume_defect(dflow)
+    report = analyze(model, SchemeConfig(Scheme.P_IMPLICIT, h, M=m), state)
     print(
-        f"  M={m} h={h}: |det DPhi|={det_flow:.12f}  "
-        f"|det A|={det_anti:.12f}  gap={gap:.2e}"
+        f"  M={m} h={h}: |det DPhi|={abs(report.det_flow):.12f}  "
+        f"|det A|={abs(report.det_antidiag):.12f}  gap={report.volume_gap:.2e}"
     )
 
 sweep = defect_sweep(model, Scheme.P_IMPLICIT, [1, 2, 3], default_h_grid(), state)

@@ -17,7 +17,6 @@ from .defect import (
     flow_jacobian_fd,
     swap_coordinates,
     swap_coordinates_inverse,
-    volume_defect,
 )
 from .experiments import (
     DefectSweep,
@@ -51,7 +50,6 @@ from .hamiltonians import (
     reference_initial_state_si,
     safety_factor,
     tokamak_model,
-    vector_potential,
 )
 from .integrators import (
     IntegrationError,

@@ -171,15 +171,14 @@ def criterion_06():
     """Volume loss is carried by the antidiagonal block."""
     worst = 0.0
     for _, _, _, _, report in _structure_reports():
-        gap = abs(abs(report.det_flow) - abs(report.det_antidiag))
-        worst = max(worst, gap / abs(report.det_antidiag))
+        worst = max(worst, report.volume_gap / abs(report.det_antidiag))
     state = PhaseState(0.3 * np.ones(3), -0.2 * np.ones(3))
     sweep = defect_sweep(quadratic_model(3), Scheme.P_IMPLICIT, [1, 2, 3], default_h_grid(), state)
     h = np.array([r["h"] for r in sweep.rows if r["M"] == 1])
     slopes = []
     slopes_ok = True
     for m in (1, 2, 3):
-        v = [abs(r["det_flow"] - 1.0) for r in sweep.rows if r["M"] == m]
+        v = [r["volume_defect"] for r in sweep.rows if r["M"] == m]
         slope = loglog_fit(h, v, floor=SWEEP_FLOOR).slope
         slopes_ok = slopes_ok and abs(slope - (m + 1)) <= 0.4
         slopes.append(f"{slope:.4f}")

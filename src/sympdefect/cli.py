@@ -93,9 +93,6 @@ SETTINGS: dict[str, Setting] = {
         "--h-count", int, "points of a sweep grid", default=DEFAULT_H_COUNT, minimum=2
     ),
     "full_scale": Setting("--full-scale", bool, "run the long-horizon drift length", default=False),
-    "variant": Setting(
-        "--variant", str, "implicit side of the exact map", default="p", choices=("p", "q")
-    ),
 }
 
 _TRUE = ("1", "true", "yes", "on")
@@ -179,14 +176,21 @@ def _model_and_state(cfg: argparse.Namespace):
 
 def _scheme_config(cfg: argparse.Namespace, scheme: Scheme, h: float) -> SchemeConfig:
     counts = {"M": _pick(cfg.m, 3), "M1": cfg.m1, "M2": cfg.m2}
-    return SchemeConfig(scheme, h, variant=cfg.variant, **{c: counts[c] for c in scheme.counts})
+    return SchemeConfig(scheme, h, **{c: counts[c] for c in scheme.counts})
+
+
+# the schemes that run on one model only
+_SCHEME_MODEL = {
+    Scheme.LINEAR_IMPLICIT_EM: "tokamak",
+    Scheme.EXACT_QUADRATIC_P: "quadratic",
+    Scheme.EXACT_QUADRATIC_Q: "quadratic",
+}
 
 
 def _check_scheme_model(cfg: argparse.Namespace, scheme: Scheme) -> None:
-    if scheme is Scheme.LINEAR_IMPLICIT_EM and cfg.hamiltonian != "tokamak":
-        raise ConfigError("linear-implicit-em needs the tokamak model")
-    if scheme is Scheme.EXACT_QUADRATIC and cfg.hamiltonian != "quadratic":
-        raise ConfigError("exact-quadratic needs the quadratic model")
+    needed = _SCHEME_MODEL.get(scheme)
+    if needed is not None and cfg.hamiltonian != needed:
+        raise ConfigError(f"{scheme.value} needs the {needed} model")
 
 
 def _fmt(x: float) -> str:
@@ -272,7 +276,7 @@ def _one_sided_sweep(cfg: argparse.Namespace, composition_error: str):
     model, state = _model_and_state(cfg)
     m_values = [cfg.m] if cfg.m is not None else [1, 2, 3]
     grid = default_h_grid(cfg.h_min, cfg.h_max, cfg.h_count)
-    return scheme, defect_sweep(model, scheme, m_values, grid, state, variant=cfg.variant)
+    return scheme, defect_sweep(model, scheme, m_values, grid, state)
 
 
 def cmd_defect_sweep(cfg: argparse.Namespace) -> int:
@@ -364,8 +368,8 @@ def cmd_sv_orders(cfg: argparse.Namespace) -> int:
     rows = []
     fit_lines = []
     for scheme in schemes:
-        variant_rows, fits = sv_block_orders(model, scheme, m1, m2, grid, state)
-        for r in variant_rows:
+        scheme_rows, fits = sv_block_orders(model, scheme, m1, m2, grid, state)
+        for r in scheme_rows:
             rows.append([scheme.value, m1, m2, r["h"], r["P11"], r["P12"], r["P21"], r["P22"]])
         for block, fit in fits.items():
             fit_lines.append(_fit_line(f"{scheme.value} {block}", fit))
@@ -379,23 +383,13 @@ def cmd_sv_orders(cfg: argparse.Namespace) -> int:
     return 0
 
 
+VOLUME_HEADER = ["scheme", "M", "h", "det_flow", "det_antidiag", "discrepancy", "volume_defect"]
+
+
 def cmd_volume(cfg: argparse.Namespace) -> int:
     scheme, sweep = _one_sided_sweep(cfg, "volume sweeps cover the one-sided schemes")
-    rows = []
-    for r in sweep.rows:
-        det_flow, det_anti = r["det_flow"], r["det_antidiag"]
-        rows.append(
-            [
-                r["scheme"], r["M"], r["h"], det_flow, det_anti,
-                abs(abs(det_flow) - abs(det_anti)),
-                abs(det_flow - 1.0),
-            ]
-        )
-    _write_csv(
-        cfg.out,
-        ["scheme", "M", "h", "det_flow", "det_antidiag", "discrepancy", "volume_defect"],
-        rows,
-    )
+    rows = [[r[col] for col in VOLUME_HEADER] for r in sweep.rows]
+    _write_csv(cfg.out, VOLUME_HEADER, rows)
     for (quantity, m), fit in sweep.fits.items():
         if quantity == "volume":
             label = f"{scheme.value} |det-1|" + ("" if m is None else f" M={m}")

@@ -112,9 +112,11 @@ def _analytic_p_implicit(model, state: PhaseState, h: float, m: int) -> np.ndarr
 class DefectReport:
     """Block decomposition of the transformed structure J~ = D^T J D.
 
-    `delta` is the Frobenius norm of the diagonal block that measures the
-    defect for the scheme at hand (`delta_block` says which); `alpha` is
-    the distance of the antidiagonal block from the identity.
+    A symplectic map has J~ = J, whose blocks are the targets: P11 = 0,
+    P12 = +I, P21 = -I, P22 = 0.  `delta` is the Frobenius norm of the
+    diagonal block that measures the defect for the scheme at hand
+    (`delta_block` says which); `alpha` is the distance of the
+    antidiagonal block P12 from +I.
     """
 
     structure: np.ndarray
@@ -135,6 +137,29 @@ class DefectReport:
     @property
     def diag_p_norm(self) -> float:
         return linalg.frobenius_norm(self.diag_p)
+
+    @property
+    def deviations(self) -> dict[str, float]:
+        """Frobenius distance of each block P11..P22 from its target."""
+        n = len(self.diag_q)
+        return {
+            "P11": self.diag_q_norm,
+            "P12": self.alpha,
+            "P21": linalg.frobenius_norm(self.structure[n:, :n] + np.eye(n)),
+            "P22": self.diag_p_norm,
+        }
+
+    @property
+    def volume_gap(self) -> float:
+        """||det D| - |det P12||: det J~ factors through the antidiagonal
+        block, so this sits at round-off while each determinant differs
+        from 1 at the defect order."""
+        return abs(abs(self.det_flow) - abs(self.det_antidiag))
+
+    @property
+    def volume_defect(self) -> float:
+        """|det D - 1|, the phase-space volume the map fails to preserve."""
+        return abs(self.det_flow - 1.0)
 
 
 def defect_report(dflow: np.ndarray, delta_block: str = "q") -> DefectReport:
@@ -171,21 +196,7 @@ def analyze(model, config: SchemeConfig, state: PhaseState) -> DefectReport:
     """AD flow Jacobian plus block decomposition; delta measures the
     explicit side's diagonal block (the one-sided maps zero the other)."""
     dflow = flow_jacobian_ad(model, config, state)
-    return defect_report(dflow, "q" if config.implicit_side == "p" else "p")
-
-
-def volume_defect(dflow: np.ndarray, report: DefectReport | None = None):
-    """(|det D|, |det antidiagonal block|, their absolute difference).
-
-    For these maps det J~ factors through the antidiagonal block, so the
-    two determinants agree up to round-off while each differs from 1 at
-    the defect order.
-    """
-    if report is None:
-        report = defect_report(dflow)
-    det_flow = abs(report.det_flow)
-    det_anti = abs(report.det_antidiag)
-    return det_flow, det_anti, abs(det_flow - det_anti)
+    return defect_report(dflow, "q" if config.scheme.implicit_side == "p" else "p")
 
 
 def coordinate_swap_check(model, h: float, m: int, state: PhaseState) -> float:

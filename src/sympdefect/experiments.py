@@ -92,17 +92,17 @@ def loglog_fit(
 class DefectSweep:
     """Per-(M, h) defect measurements plus order fits.
 
-    `rows` entries carry the CSV columns; `fits` maps (quantity, M) to a
-    FitResult, with quantity one of "delta", "alpha", "volume".
+    `rows` entries carry the CSV columns of the defect-sweep and volume
+    commands; `fits` maps (quantity, M) to a FitResult, with quantity one
+    of "delta", "alpha", "volume".
     """
 
     rows: list[dict]
     fits: dict[tuple[str, int | None], FitResult | None]
 
 
-def _sweep_row(model, scheme: Scheme, variant: str, m: int | None, h: float, state: PhaseState) -> dict:
-    config = SchemeConfig(scheme, h, M=m, variant=variant)
-    report = analyze(model, config, state)
+def _sweep_row(model, scheme: Scheme, m: int | None, h: float, state: PhaseState) -> dict:
+    report = analyze(model, SchemeConfig(scheme, h, M=m), state)
     return {
         "scheme": scheme.value,
         "M": m,
@@ -114,6 +114,8 @@ def _sweep_row(model, scheme: Scheme, variant: str, m: int | None, h: float, sta
         "skew_residual": report.skew_residual,
         "det_flow": report.det_flow,
         "det_antidiag": report.det_antidiag,
+        "discrepancy": report.volume_gap,
+        "volume_defect": report.volume_defect,
     }
 
 
@@ -123,7 +125,6 @@ def defect_sweep(
     m_values,
     h_values,
     state: PhaseState,
-    variant: str = "p",
     jobs: int = 1,
 ) -> DefectSweep:
     """Defect quantities over an (M, h) grid, with per-M order fits."""
@@ -136,7 +137,7 @@ def defect_sweep(
     m_list = [int(m) for m in m_values] if scheme.counts else [None]
     ms = [m for m in m_list for _ in h_values]
     hs = [float(h) for _ in m_list for h in h_values]
-    columns = (repeat(model), repeat(scheme), repeat(variant), ms, hs, repeat(state))
+    columns = (repeat(model), repeat(scheme), ms, hs, repeat(state))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_row, *columns))
@@ -149,7 +150,7 @@ def defect_sweep(
         h = [r["h"] for r in group]
         fits[("delta", m)] = loglog_fit(h, [r["delta"] for r in group])
         fits[("alpha", m)] = loglog_fit(h, [r["alpha"] for r in group])
-        fits[("volume", m)] = loglog_fit(h, [abs(r["det_flow"] - 1.0) for r in group])
+        fits[("volume", m)] = loglog_fit(h, [r["volume_defect"] for r in group])
     return DefectSweep(rows=rows, fits=fits)
 
 
@@ -164,28 +165,15 @@ def sv_block_orders(
     h_values,
     state: PhaseState,
 ) -> tuple[list[dict], dict[str, FitResult | None]]:
-    """Deviation norms of all four structure blocks of a composition map.
-
-    Deviations are measured against the symplectic target: P11 and P22
-    against zero, P12 against +I, P21 against -I.
-    """
+    """Deviation norms of all four structure blocks of a composition map,
+    each against its symplectic target (`DefectReport.deviations`)."""
     scheme = Scheme(scheme)
     if not scheme.composition:
         raise ValueError(f"composition scheme expected, got {scheme.value!r}")
-    n = model.dim
-    eye = np.eye(n)
     rows = []
     for h in np.asarray(h_values, dtype=float):
-        s = analyze(model, SchemeConfig(scheme, float(h), M1=m1, M2=m2), state).structure
-        rows.append(
-            {
-                "h": float(h),
-                "P11": float(np.linalg.norm(s[:n, :n])),
-                "P12": float(np.linalg.norm(s[:n, n:] - eye)),
-                "P21": float(np.linalg.norm(s[n:, :n] + eye)),
-                "P22": float(np.linalg.norm(s[n:, n:])),
-            }
-        )
+        report = analyze(model, SchemeConfig(scheme, float(h), M1=m1, M2=m2), state)
+        rows.append({"h": float(h), **report.deviations})
     h = [r["h"] for r in rows]
     fits = {block: loglog_fit(h, [r[block] for r in rows]) for block in SV_BLOCKS}
     return rows, fits

@@ -401,11 +401,6 @@ class TokamakModel(HamiltonianModel):
         return p - self.vector_potential(q)
 
 
-def vector_potential(q: np.ndarray, params: PhysicalParams) -> np.ndarray:
-    """Dimensionless tokamak vector potential at dimensionless position q."""
-    return TokamakModel(params).vector_potential(q)
-
-
 def harmonic_oscillator() -> HarmonicOscillator:
     return HarmonicOscillator()
 

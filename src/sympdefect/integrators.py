@@ -36,10 +36,10 @@ class Scheme(str, Enum):
     """Each member is (value, counts, implicit side, step).
 
     `counts` names the SchemeConfig counts the scheme takes (others are
-    ignored).  The implicit side, "p" or "q" (None: SchemeConfig.variant),
-    is the variable the map solves for, a composition's that of its second
-    half.  `step(model, state, config)` looks its step function up by name
-    at call time, so a patched module attribute (a tracer) takes effect.
+    ignored).  The implicit side, "p" or "q", is the variable the map
+    solves for, a composition's that of its second half.
+    `step(model, state, config)` looks its step function up by name at
+    call time, so a patched module attribute (a tracer) takes effect.
     """
 
     P_IMPLICIT = "p-implicit", ("M",), "p", lambda f, z, c: step_p_implicit(f, z, c.h, c.M)
@@ -49,11 +49,14 @@ class Scheme(str, Enum):
     LINEAR_IMPLICIT_EM = (
         "linear-implicit-em", (), "p", lambda f, z, c: step_linear_implicit_em(f, z, c.h)
     )
-    EXACT_QUADRATIC = (
-        "exact-quadratic", (), None, lambda f, z, c: exact_se_quadratic(f, z, c.h, c.variant)
+    EXACT_QUADRATIC_P = (
+        "exact-quadratic-p", (), "p", lambda f, z, c: exact_se_quadratic(f, z, c.h, "p")
+    )
+    EXACT_QUADRATIC_Q = (
+        "exact-quadratic-q", (), "q", lambda f, z, c: exact_se_quadratic(f, z, c.h, "q")
     )
 
-    def __new__(cls, value: str, counts: tuple[str, ...], implicit_side: str | None, step):
+    def __new__(cls, value: str, counts: tuple[str, ...], implicit_side: str, step):
         member = str.__new__(cls, value)
         member._value_ = value
         member.counts = counts
@@ -72,8 +75,7 @@ class SchemeConfig:
     """Scheme selection plus step size and iteration counts.
 
     M is the sweep count for the one-sided schemes; M1/M2 are the counts of
-    the first and second half step of a composition.  `variant` picks the
-    implicit side ("p" or "q") of the exact quadratic reference map.
+    the first and second half step of a composition.
     """
 
     scheme: Scheme
@@ -81,7 +83,6 @@ class SchemeConfig:
     M: int | None = None
     M1: int | None = None
     M2: int | None = None
-    variant: str = "p"
 
     def __post_init__(self) -> None:
         self.scheme = Scheme(self.scheme)
@@ -89,13 +90,6 @@ class SchemeConfig:
             raise ValueError(f"step size must be positive and finite, got {self.h}")
         for name in self.scheme.counts:
             _require_count(name, getattr(self, name))
-        if self.variant not in ("p", "q"):
-            raise ValueError(f"variant must be 'p' or 'q', got {self.variant!r}")
-
-    @property
-    def implicit_side(self) -> str:
-        """The variable the step solves for, "p" or "q"."""
-        return self.scheme.implicit_side or self.variant
 
 
 def _require_count(name: str, value) -> None:
@@ -244,8 +238,10 @@ def exact_se_quadratic(model, state: PhaseState, h: float, variant: str = "p") -
     """Exactly solved symplectic Euler step for :class:`QuadraticModel`.
 
     The implicit relation is linear there, so one linear solve replaces the
-    fixed-point sweeps; this is the M -> infinity reference map.  Requires
-    a model exposing its constant coupling matrix.
+    fixed-point sweeps; this is the M -> infinity reference map, solved
+    for the side `variant` ("p" or "q"; Scheme.EXACT_QUADRATIC_P and
+    EXACT_QUADRATIC_Q pass theirs).  Requires a model exposing its
+    constant coupling matrix.
     """
     _check_step(h)
     if variant not in ("p", "q"):

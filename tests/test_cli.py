@@ -223,9 +223,37 @@ def test_scheme_model_pairing_is_validated(capsys):
     )
     assert rc == 2
     assert "tokamak" in err
-    rc, _, err = run_cli(capsys, ["jtilde", "--scheme", "exact-quadratic"])
+    rc, _, err = run_cli(capsys, ["jtilde", "--scheme", "exact-quadratic-p"])
     assert rc == 2
-    assert "quadratic" in err
+    assert "exact-quadratic-p needs the quadratic model" in err
+
+
+def test_exact_map_names_its_implicit_side(capsys):
+    argv = ["--hamiltonian", "quadratic", "--scheme", "exact-quadratic-q"]
+    rc, out, err = run_cli(capsys, ["defect-sweep", *argv, "--h-count", "3"])
+    assert rc == 0
+    _, rows = csv_rows(out)
+    assert [r[0] for r in rows] == ["exact-quadratic-q"] * 3
+    assert "exact-quadratic-q delta: fewer than 3 points" in err
+    rc, _, err = run_cli(capsys, ["energy-drift", *argv, "--steps", "40", "--stride", "2"])
+    assert rc == 0
+    assert err.startswith("exact-quadratic-q: ")
+
+
+def test_side_knob_and_bare_exact_scheme_are_gone(tmp_path, capsys):
+    for argv in (
+        ["jtilde", "--hamiltonian", "quadratic", "--variant", "q"],
+        ["jtilde", "--hamiltonian", "quadratic", "--scheme", "exact-quadratic"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    config = tmp_path / "variant.cfg"
+    config.write_text("variant = q\n")
+    rc, _, err = run_cli(capsys, ["jtilde", "--config", str(config)])
+    assert rc == 2
+    assert ":1:" in err and "unknown key 'variant'" in err
 
 
 def test_config_file_layering(tmp_path, capsys):

@@ -10,7 +10,6 @@ from sympdefect.defect import (
     flow_jacobian_fd,
     swap_coordinates,
     swap_coordinates_inverse,
-    volume_defect,
 )
 from sympdefect.hamiltonians import mixed_hessian
 from sympdefect.integrators import Scheme, SchemeConfig, step_p_implicit
@@ -39,15 +38,15 @@ def test_delta_block_assignment_is_the_explicit_side(quad3, quad3_state, tokamak
         (SchemeConfig(Scheme.SV_PQ, 0.1, M1=1, M2=1), "p"),
         (SchemeConfig(Scheme.SV_QP, 0.1, M1=1, M2=1), "q"),
         (SchemeConfig(Scheme.LINEAR_IMPLICIT_EM, 0.1), "q"),
-        (SchemeConfig(Scheme.EXACT_QUADRATIC, 0.1, variant="p"), "q"),
-        (SchemeConfig(Scheme.EXACT_QUADRATIC, 0.1, variant="q"), "p"),
+        (SchemeConfig(Scheme.EXACT_QUADRATIC_P, 0.1), "q"),
+        (SchemeConfig(Scheme.EXACT_QUADRATIC_Q, 0.1), "p"),
     ]
     for config, block in cases:
         model, state = (
             (tokamak, tokamak_state)
             if config.scheme is Scheme.LINEAR_IMPLICIT_EM else (quad3, quad3_state)
         )
-        assert config.implicit_side != block
+        assert config.scheme.implicit_side != block
         assert analyze(model, config, state).delta_block == block
 
 
@@ -59,6 +58,8 @@ def test_report_of_identity_flow():
     assert rep.skew_residual == 0.0
     assert rep.det_flow == 1.0
     assert rep.det_antidiag == 1.0
+    assert rep.volume_gap == 0.0
+    assert rep.volume_defect == 0.0
 
 
 def test_report_blocks_tile_the_structure(tokamak, tokamak_state):
@@ -73,6 +74,19 @@ def test_report_blocks_tile_the_structure(tokamak, tokamak_state):
     assert rep.diag_p_norm <= 1e-16
 
 
+def test_report_deviations_measure_each_block_from_its_target(tokamak, tokamak_state):
+    config = SchemeConfig(Scheme.SV_PQ, 0.1, M1=1, M2=3)
+    rep = defect_report(flow_jacobian_ad(tokamak, config, tokamak_state), "p")
+    dev = rep.deviations
+    assert list(dev) == ["P11", "P12", "P21", "P22"]
+    assert dev["P12"] == rep.alpha
+    assert dev["P11"] == rep.diag_q_norm
+    assert dev["P22"] == rep.diag_p_norm
+    assert dev["P21"] == np.linalg.norm(rep.structure[3:, :3] + np.eye(3))
+    ident = defect_report(np.eye(6)).deviations
+    assert ident == {"P11": 0.0, "P12": 0.0, "P21": 0.0, "P22": 0.0}
+
+
 def test_report_validation():
     with pytest.raises(ValueError):
         defect_report(np.eye(5))
@@ -82,8 +96,8 @@ def test_report_validation():
 
 def test_exactly_solved_step_preserves_structure(quad3, quad3_state):
     j = symplectic_matrix(3)
-    for variant in ("p", "q"):
-        config = SchemeConfig(Scheme.EXACT_QUADRATIC, 0.1, variant=variant)
+    for scheme in (Scheme.EXACT_QUADRATIC_P, Scheme.EXACT_QUADRATIC_Q):
+        config = SchemeConfig(scheme, 0.1)
         rep = analyze(quad3, config, quad3_state)
         assert np.max(np.abs(rep.structure - j)) <= 1e-13
         assert rep.delta <= 1e-13
@@ -140,12 +154,9 @@ def test_tokamak_structure_blocks_at_reference_point(tokamak, tokamak_state):
 
 def test_volume_defect_routes_through_antidiagonal_determinant(tokamak, tokamak_state):
     config = SchemeConfig(Scheme.Q_IMPLICIT, 0.1, M=2)
-    dflow = flow_jacobian_ad(tokamak, config, tokamak_state)
-    det_flow, det_anti, gap = volume_defect(dflow, defect_report(dflow, "p"))
-    assert gap <= 1e-12
-    assert abs(det_flow - 1.0) > 1e-10  # genuinely non-volume-preserving
-    d2, a2, g2 = volume_defect(np.eye(6))
-    assert (d2, a2, g2) == (1.0, 1.0, 0.0)
+    rep = analyze(tokamak, config, tokamak_state)
+    assert rep.volume_gap <= 1e-12
+    assert rep.volume_defect > 1e-10  # genuinely non-volume-preserving
 
 
 def test_composition_jacobian_is_product_of_halves(tokamak, tokamak_state):
@@ -186,13 +197,13 @@ def test_linear_implicit_ad_matches_finite_differences(tokamak, tokamak_state, h
     assert np.linalg.norm(ad - fd) / np.linalg.norm(ad) <= 1e-5
 
 
-@pytest.mark.parametrize("variant", ["p", "q"])
+@pytest.mark.parametrize("side", ["p", "q"])
 @pytest.mark.parametrize("h", [0.05, 0.25])
-def test_exact_quadratic_ad_matches_closed_form(quad3, quad3_state, variant, h):
+def test_exact_quadratic_ad_matches_closed_form(quad3, quad3_state, side, h):
     n = 3
     c = mixed_hessian(n)
     eye = np.eye(n)
-    if variant == "p":
+    if side == "p":
         # p~ = (I + hC)^-1 (p - h q),  q~ = q + h (p~ + C^T q)
         inv = np.linalg.inv(eye + h * c)
         dp = np.hstack([-h * inv, inv])
@@ -203,6 +214,6 @@ def test_exact_quadratic_ad_matches_closed_form(quad3, quad3_state, variant, h):
         dq = np.hstack([inv, h * inv])
         dp = np.hstack([np.zeros((n, n)), eye - h * c]) - h * dq
     exact = np.vstack([dq, dp])
-    config = SchemeConfig(Scheme.EXACT_QUADRATIC, h, variant=variant)
+    config = SchemeConfig(Scheme(f"exact-quadratic-{side}"), h)
     ad = flow_jacobian_ad(quad3, config, quad3_state)
     assert np.max(np.abs(ad - exact)) <= 1e-13

@@ -80,9 +80,7 @@ def test_defect_sweep_parallel_jobs_match_serial(quad3, quad3_state):
 
 
 def test_defect_sweep_of_exact_map_has_no_fittable_signal(quad3, quad3_state):
-    sweep = defect_sweep(
-        quad3, Scheme.EXACT_QUADRATIC, [], default_h_grid(), quad3_state, variant="p"
-    )
+    sweep = defect_sweep(quad3, Scheme.EXACT_QUADRATIC_P, [], default_h_grid(), quad3_state)
     assert all(row["M"] is None for row in sweep.rows)
     assert all(row["delta"] <= 1e-13 for row in sweep.rows)
     assert sweep.fits[("delta", None)] is None

@@ -62,10 +62,6 @@ def test_config_rejects_bad_step_and_variant():
         SchemeConfig(Scheme.P_IMPLICIT, 0.0, M=1)
     with pytest.raises(ValueError):
         SchemeConfig(Scheme.P_IMPLICIT, -0.1, M=1)
-    with pytest.raises(ValueError):
-        SchemeConfig(Scheme.EXACT_QUADRATIC, 0.1, variant="x")
-    with pytest.raises(ValueError, match="variant"):
-        SchemeConfig(Scheme.P_IMPLICIT, 0.1, M=1, variant="x")
 
 
 def test_config_accepts_scheme_names():
@@ -235,7 +231,7 @@ def test_exact_quadratic_requires_a_coupling_matrix(tokamak, tokamak_state):
     with pytest.raises(TypeError, match="coupling"):
         exact_se_quadratic(tokamak, tokamak_state, 0.1)
     with pytest.raises(TypeError, match="coupling"):
-        one_step(tokamak, SchemeConfig(Scheme.EXACT_QUADRATIC, 0.1), tokamak_state)
+        one_step(tokamak, SchemeConfig(Scheme.EXACT_QUADRATIC_P, 0.1), tokamak_state)
 
 
 def test_sweeps_converge_to_exact_map_at_one_order_per_sweep(quad3, quad3_state):
@@ -257,7 +253,8 @@ def test_one_step_dispatches_every_scheme(quad3, quad3_state, tokamak, tokamak_s
         (SchemeConfig(Scheme.SV_PQ, 0.1, M1=1, M2=2), quad3, quad3_state),
         (SchemeConfig(Scheme.SV_QP, 0.1, M1=1, M2=2), quad3, quad3_state),
         (SchemeConfig(Scheme.LINEAR_IMPLICIT_EM, 0.1), tokamak, tokamak_state),
-        (SchemeConfig(Scheme.EXACT_QUADRATIC, 0.1, variant="q"), quad3, quad3_state),
+        (SchemeConfig(Scheme.EXACT_QUADRATIC_P, 0.1), quad3, quad3_state),
+        (SchemeConfig(Scheme.EXACT_QUADRATIC_Q, 0.1), quad3, quad3_state),
     ]
     for config, model, state in pairs:
         out = one_step(model, config, state)
@@ -265,13 +262,15 @@ def test_one_step_dispatches_every_scheme(quad3, quad3_state, tokamak, tokamak_s
         assert np.all(np.isfinite(out.to_vector().astype(float)))
 
 
+# each scheme's implicit side and its step with counts M=2, M1=2, M2=3
 SCHEME_STEPS = {
-    Scheme.P_IMPLICIT: lambda f, z: step_p_implicit(f, z, 0.1, 2),
-    Scheme.Q_IMPLICIT: lambda f, z: step_q_implicit(f, z, 0.1, 2),
-    Scheme.SV_PQ: lambda f, z: step_sv_pq(f, z, 0.1, 2, 3),
-    Scheme.SV_QP: lambda f, z: step_sv_qp(f, z, 0.1, 2, 3),
-    Scheme.LINEAR_IMPLICIT_EM: lambda f, z: step_linear_implicit_em(f, z, 0.1),
-    Scheme.EXACT_QUADRATIC: lambda f, z: exact_se_quadratic(f, z, 0.1, "q"),
+    Scheme.P_IMPLICIT: ("p", lambda f, z: step_p_implicit(f, z, 0.1, 2)),
+    Scheme.Q_IMPLICIT: ("q", lambda f, z: step_q_implicit(f, z, 0.1, 2)),
+    Scheme.SV_PQ: ("q", lambda f, z: step_sv_pq(f, z, 0.1, 2, 3)),
+    Scheme.SV_QP: ("p", lambda f, z: step_sv_qp(f, z, 0.1, 2, 3)),
+    Scheme.LINEAR_IMPLICIT_EM: ("p", lambda f, z: step_linear_implicit_em(f, z, 0.1)),
+    Scheme.EXACT_QUADRATIC_P: ("p", lambda f, z: exact_se_quadratic(f, z, 0.1, "p")),
+    Scheme.EXACT_QUADRATIC_Q: ("q", lambda f, z: exact_se_quadratic(f, z, 0.1, "q")),
 }
 
 
@@ -284,17 +283,19 @@ def test_every_scheme_is_declared(scheme, quad3, quad3_state, tokamak, tokamak_s
             SchemeConfig(scheme, 0.1, **{**counts, missing: None})
     SchemeConfig(scheme, 0.1, **{c: counts[c] for c in scheme.counts})
     # counts the scheme does not take are ignored
-    config = SchemeConfig(scheme, 0.1, variant="q", **counts)
+    config = SchemeConfig(scheme, 0.1, **counts)
     model, state = (
         (tokamak, tokamak_state) if scheme is Scheme.LINEAR_IMPLICIT_EM else (quad3, quad3_state)
     )
+    side, step = SCHEME_STEPS[scheme]
+    assert scheme.implicit_side == side
     out = one_step(model, config, state)
-    assert np.array_equal(out.to_vector(), SCHEME_STEPS[scheme](model, state).to_vector())
+    assert np.array_equal(out.to_vector(), step(model, state).to_vector())
     report = analyze(model, config, state)
-    assert {report.delta_block, config.implicit_side} == {"q", "p"}
+    assert {report.delta_block, side} == {"q", "p"}
     if not scheme.composition:
         # the one-sided maps zero the implicit side's diagonal block
-        implicit_block = report.diag_p if config.implicit_side == "p" else report.diag_q
+        implicit_block = report.diag_p if side == "p" else report.diag_q
         assert np.linalg.norm(implicit_block) <= 1e-12
 
 
@@ -398,22 +399,24 @@ def test_check_finite_rejects_a_batch_with_one_bad_column(column, bad):
 
 
 SEPARABLE_SCHEMES = [Scheme.P_IMPLICIT, Scheme.Q_IMPLICIT, Scheme.SV_PQ, Scheme.SV_QP]
+EXACT_SCHEMES = [Scheme.EXACT_QUADRATIC_P, Scheme.EXACT_QUADRATIC_Q]
 BATCH_CASES = (
-    [("tokamak", s, "p") for s in SEPARABLE_SCHEMES + [Scheme.LINEAR_IMPLICIT_EM]]
-    + [("oscillator", s, "p") for s in SEPARABLE_SCHEMES]
-    + [("quadratic", s, "p") for s in SEPARABLE_SCHEMES]
-    + [("quadratic", Scheme.EXACT_QUADRATIC, v) for v in ("p", "q")]
+    [("tokamak", s) for s in SEPARABLE_SCHEMES + [Scheme.LINEAR_IMPLICIT_EM]]
+    + [("oscillator", s) for s in SEPARABLE_SCHEMES]
+    + [("quadratic", s) for s in SEPARABLE_SCHEMES + EXACT_SCHEMES]
 )
+# stable ids: the non-exact cases keep the "-p" suffix they carried while
+# the exact map's side was a separate setting that every case passed
+BATCH_IDS = [f"{m}-{s.value}" + ("" if s in EXACT_SCHEMES else "-p") for m, s in BATCH_CASES]
 # fixed before the test first ran: the quadratic model's matrix products
 # take BLAS's matrix-matrix path on a batch, which may round differently
 QUADRATIC_BATCH_RTOL = 1e-14
 
 
 @pytest.mark.parametrize(
-    "model_name, scheme, variant", BATCH_CASES,
-    ids=[f"{m}-{s.value}-{v}" for m, s, v in BATCH_CASES],
+    "model_name, scheme", BATCH_CASES, ids=BATCH_IDS,
 )
-def test_batched_step_equals_separate_steps(model_name, scheme, variant, tokamak, tokamak_state, oscillator):
+def test_batched_step_equals_separate_steps(model_name, scheme, tokamak, tokamak_state, oscillator):
     rng = np.random.default_rng(11)
     k = 4
     if model_name == "tokamak":
@@ -423,7 +426,7 @@ def test_batched_step_equals_separate_steps(model_name, scheme, variant, tokamak
     else:
         model = oscillator if model_name == "oscillator" else quadratic_model(8)
         q, p = 0.5 * rng.standard_normal((2, model.dim, k))
-    config = SchemeConfig(scheme, 0.1, M=2, M1=1, M2=3, variant=variant)
+    config = SchemeConfig(scheme, 0.1, M=2, M1=1, M2=3)
     batched = one_step(model, config, PhaseState(q, p))
     assert batched.q.shape == batched.p.shape == (model.dim, k)
     for c in range(k):
