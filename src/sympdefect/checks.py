@@ -8,7 +8,9 @@ print, so the two check the same contract.  Criterion 10, a 3e5-step drift
 run of about 40 s, is not here: it lives in tests/test_acceptance.py, and
 `sympdefect energy-drift` prints its drift labels.
 
-Nothing is cached between calls; every call measures the build it runs in.
+Nothing is cached between calls but the exact coupling powers, which
+`quadratic_oracle` checks as it computes them; every call measures the
+build it runs in.
 """
 
 from __future__ import annotations

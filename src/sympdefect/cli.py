@@ -42,6 +42,7 @@ from .hamiltonians import (
     tokamak_model,
 )
 from .integrators import Scheme, SchemeConfig, integrate
+from .quadratic_oracle import OracleRangeError, check_case
 from .state import PhaseState
 
 CI_DRIFT_STEPS = 300_000
@@ -339,12 +340,18 @@ def cmd_energy_drift(cfg: argparse.Namespace) -> int:
 
 
 def cmd_optimality(cfg: argparse.Namespace) -> int:
+    ns = [cfg.n] if cfg.n is not None else [2, 3, 5]
+    ms = [cfg.m] if cfg.m is not None else [1, 2, 3]
+    try:
+        for n in ns:
+            for m in ms:
+                check_case(n, m)
+    except OracleRangeError as exc:
+        raise ConfigError(f"{SETTINGS[exc.key].flag}: {exc}") from exc
     rows = []
     worst = 0.0
     for n, m, h, report, diag_pred, anti_pred in checks.closed_form_cases(
-        [cfg.n] if cfg.n is not None else [2, 3, 5],
-        [cfg.m] if cfg.m is not None else [1, 2, 3],
-        [cfg.h] if cfg.h is not None else [0.1, 0.01],
+        ns, ms, [cfg.h] if cfg.h is not None else [0.1, 0.01],
     ):
         # the closed form can predict an identically zero block (N=2, even
         # M); compare round-off against the full matrix

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import CustomPrimitive, jacobian
-from .linalg import transposed_product
+from .linalg import real_product, transposed_product
 from .state import NonFiniteIterateError, PhaseState
 
 # Positions closer to the torus axis than this fraction of R are rejected
@@ -240,10 +240,10 @@ class QuadraticModel(HamiltonianModel):
         return 0.5 * (q @ q + p @ p) + q @ (self.coupling @ p)
 
     def grad_q(self, q, p):
-        return q + self.coupling @ p
+        return q + real_product(self.coupling, p)
 
     def grad_p(self, q, p):
-        return p + self.coupling.T @ q
+        return p + real_product(self.coupling.T, q)
 
     def hessian_blocks(self, q, p):
         n = self.dim

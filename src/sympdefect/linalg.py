@@ -1,8 +1,9 @@
 """Dense linear algebra for small phase-space matrices.
 
 Only what numpy does not already say in one call lives here: the checked
-solve, the transposed matrix-vector product, the canonical structure
-matrix, and norms and determinants that refuse non-finite input.
+solve, the transposed matrix-vector product, a real matrix applied to a
+complex step in real arithmetic, the canonical structure matrix, and norms
+and determinants that refuse non-finite input.
 :func:`solve` also takes the complex steps of :mod:`sympdefect.autodiff`,
 so flows that solve a linear system can be differentiated with no solve
 rule of their own.  :func:`solve` and :func:`transposed_product` also
@@ -57,6 +58,21 @@ def transposed_product(a: np.ndarray, x: np.ndarray) -> np.ndarray:
         return a.T @ x
     stack = np.ascontiguousarray(a.transpose(2, 0, 1))  # no copy for a tokamak Jacobian
     return (stack.transpose(0, 2, 1) @ x.T[:, :, None])[:, :, 0].T
+
+
+def real_product(a: np.ndarray, x) -> np.ndarray:
+    """a @ x for a real matrix a and a real or complex vector or batch x.
+
+    numpy would cast a to complex and run a complex product.  A complex x
+    instead goes through one real GEMM on its float64 view, (n, n) @ (n, 2K),
+    whose interleaved columns are the real and imaginary parts of a @ x.
+    Any other x gives plain ``a @ x``.
+    """
+    x = np.asarray(x)
+    if x.dtype != np.complex128:
+        return a @ x
+    pairs = np.ascontiguousarray(x).reshape(x.shape[0], -1).view(np.float64)
+    return (a @ pairs).view(np.complex128).reshape(x.shape)
 
 
 def symplectic_matrix(n: int) -> np.ndarray:

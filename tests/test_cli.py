@@ -147,6 +147,34 @@ def test_optimality_grid_matches_oracle(capsys):
     assert "max relative error" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag, admitted",
+    [
+        (["--N", "65"], "--N", "[2, 64]"),
+        (["--M", "16"], "--M", "[1, 15]"),
+        (["--N", "40", "--M", "12"], "--M", "[1, 8]"),  # C^13 could overflow int64
+    ],
+    ids=["N-65", "M-16", "N-40-M-12"],
+)
+def test_optimality_out_of_range_is_an_argument_error(capsys, monkeypatch, argv, flag, admitted):
+    def no_analysis(*args):
+        raise AssertionError("an analysis ran before the range check")
+
+    monkeypatch.setattr(checks, "analyze", no_analysis)
+    rc, out, err = run_cli(capsys, ["optimality", *argv])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag}: ")
+    assert f"must be in {admitted}" in err
+
+
+def test_optimality_takes_the_largest_admitted_sweep_count(capsys):
+    rc, out, _ = run_cli(capsys, ["optimality", "--M", "15"])
+    assert rc == 0
+    _, rows = csv_rows(out)
+    assert [(r[0], r[1]) for r in rows] == [(n, "15") for n in ("2", "3", "5") for _ in range(2)]
+
+
 def test_sv_orders_covers_both_compositions(capsys):
     rc, out, err = run_cli(
         capsys, ["sv-orders", "--hamiltonian", "quadratic", "--h-count", "4"]

@@ -5,6 +5,7 @@ from sympdefect.autodiff import jacobian
 from sympdefect.linalg import (
     determinant,
     frobenius_norm,
+    real_product,
     solve,
     symplectic_matrix,
     transposed_product,
@@ -162,3 +163,45 @@ def test_batched_solve_and_product_match_each_column_bitwise(dtype):
         col_a, col_x = a[:, :, c].copy(), x[:, c].copy()
         assert np.array_equal(product[:, c], transposed_product(col_a, col_x))
         assert np.array_equal(solved[:, c], solve(np.eye(3) - 0.1 * col_a.T, col_x))
+
+
+def _product_operands(n, rng):
+    """Right-hand sides for real_product: a vector, odd and even batch
+    widths, a strided column slice and a transposed (Fortran-ordered) batch."""
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    return {
+        "vector": cplx(n),
+        "width-1": cplx(n, 1),
+        "width-3": cplx(n, 3),
+        "width-2n+1": cplx(n, 2 * n + 1),
+        "strided": cplx(n, 10)[:, ::3],
+        "transposed": cplx(5, n).T,
+    }
+
+
+@pytest.mark.parametrize("n", range(2, 65))
+def test_real_product_matches_the_complex_product(n):
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n))
+    eps = np.finfo(float).eps
+    for matrix in (a, a.T):
+        for name, x in _product_operands(n, rng).items():
+            got = real_product(matrix, x)
+            want = matrix.astype(complex) @ x
+            assert got.dtype == np.complex128 and got.shape == want.shape, name
+            # each side is within n eps |a| |x| of the exact product, per part
+            for part in (np.real, np.imag):
+                bound = 2 * n * eps * (np.abs(matrix) @ np.abs(part(x)))
+                assert np.all(np.abs(part(got) - part(want)) <= bound), name
+
+
+def test_real_product_of_floats_is_the_plain_product():
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((9, 9))
+    for x in (rng.standard_normal(9), rng.standard_normal((9, 4)), rng.standard_normal((4, 9)).T):
+        for matrix in (a, a.T):
+            got = real_product(matrix, x)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, matrix @ x)

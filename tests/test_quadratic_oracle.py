@@ -5,8 +5,23 @@ from sympdefect import quadratic_oracle
 from sympdefect.defect import analyze
 from sympdefect.hamiltonians import mixed_hessian
 from sympdefect.integrators import Scheme, SchemeConfig
-from sympdefect.quadratic_oracle import MAX_SWEEPS, coupling_power, predicted_defect_blocks
+from sympdefect.quadratic_oracle import (
+    MAX_SWEEPS,
+    OracleRangeError,
+    check_case,
+    coupling_power,
+    predicted_defect_blocks,
+)
 from sympdefect.state import PhaseState
+
+
+@pytest.fixture
+def fresh_powers():
+    """Empty the power cache before and after the test, so its powers are
+    computed and checked afresh and none computed under a patch leaks out."""
+    quadratic_oracle._checked_power.cache_clear()
+    yield
+    quadratic_oracle._checked_power.cache_clear()
 
 
 def band(power, offset):
@@ -73,7 +88,7 @@ def test_power_equals_exact_integer_power(n):
     assert admitted >= 9
 
 
-def test_non_toeplitz_power_is_refused(monkeypatch):
+def test_non_toeplitz_power_is_refused(fresh_powers, monkeypatch):
     def perturbed(n, dtype=float):
         c = mixed_hessian(n, dtype=dtype)
         c[2, 1] = 5
@@ -84,7 +99,7 @@ def test_non_toeplitz_power_is_refused(monkeypatch):
         coupling_power(4, 1)
 
 
-def test_wrong_wrap_ratio_is_refused(monkeypatch):
+def test_wrong_wrap_ratio_is_refused(fresh_powers, monkeypatch):
     def rewrapped(n, dtype=float):
         ones = np.ones((n, n), dtype=dtype)
         return np.tril(ones, -1) - 3 * np.triu(ones, 1)
@@ -104,6 +119,28 @@ def test_range_validation():
         coupling_power(3, -1)
     with pytest.raises(ValueError):
         coupling_power(3, 17)
+
+
+def test_power_is_cached_and_read_only(fresh_powers):
+    first = coupling_power(6, 3)
+    assert coupling_power(6, 3) is first
+    assert coupling_power(6, 4) is not first
+    with pytest.raises(ValueError, match="read-only"):
+        first[0, 1] = 0
+    assert first[0, 1] == coupling_power(6, 3)[0, 1] != 0
+
+
+def test_case_range_names_the_argument():
+    check_case(2, 15)
+    check_case(64, 7)
+    for n, m, key in ((65, 1, "n"), (1, 1, "n"), (2, 16, "m"), (5, 0, "m"),
+                      (40, 9, "m"), (64, 8, "m")):
+        with pytest.raises(OracleRangeError) as info:
+            check_case(n, m)
+        assert info.value.key == key
+    # the blocks at (40, 9) need C^10, which coupling_power refuses
+    with pytest.raises(OracleRangeError, match=r"power must be in \[0, 9\] at size 40"):
+        predicted_defect_blocks(40, 9, 0.1)
 
 
 def test_overflow_guard():
