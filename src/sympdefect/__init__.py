@@ -37,7 +37,6 @@ from .hamiltonians import (
     CharacteristicScales,
     F_integral,
     HamiltonianModel,
-    HarmonicOscillator,
     PhysicalParams,
     QuadraticModel,
     SwappedModel,

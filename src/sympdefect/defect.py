@@ -202,22 +202,18 @@ def analyze(model, config: SchemeConfig, state: PhaseState) -> DefectReport:
 def coordinate_swap_check(model, h: float, m: int, state: PhaseState) -> float:
     """Max componentwise gap of the conjugation identity for SE schemes.
 
-    Applying the q-implicit step to H must equal swapping coordinates,
-    applying the p-implicit step to the swapped Hamiltonian, and swapping
-    back; and the same with the two schemes exchanged.  Returns the larger
-    of the two discrepancies.
+    Applying either SE step to H must equal swapping coordinates, applying
+    the other step to the swapped Hamiltonian, and swapping back.  Returns
+    the larger of the two discrepancies.
     """
     swapped_model = SwappedModel(model)
-
-    direct_q = step_q_implicit(model, state, h, m)
-    conjugated_q = swap_coordinates_inverse(
-        step_p_implicit(swapped_model, swap_coordinates(state), h, m)
-    )
-    gap_q = np.max(np.abs(direct_q.to_vector() - conjugated_q.to_vector()))
-
-    direct_p = step_p_implicit(model, state, h, m)
-    conjugated_p = swap_coordinates_inverse(
-        step_q_implicit(swapped_model, swap_coordinates(state), h, m)
-    )
-    gap_p = np.max(np.abs(direct_p.to_vector() - conjugated_p.to_vector()))
-    return float(max(gap_q, gap_p))
+    swapped_state = swap_coordinates(state)
+    gap = 0.0
+    for step, conjugate in (
+        (step_q_implicit, step_p_implicit),
+        (step_p_implicit, step_q_implicit),
+    ):
+        direct = step(model, state, h, m)
+        conjugated = swap_coordinates_inverse(conjugate(swapped_model, swapped_state, h, m))
+        gap = max(gap, np.max(np.abs(direct.to_vector() - conjugated.to_vector())))
+    return float(gap)

@@ -14,7 +14,6 @@ a windowed linear fit, not on |H - H0| alone.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -139,6 +138,9 @@ def defect_sweep(
     hs = [float(h) for _ in m_list for h in h_values]
     columns = (repeat(model), repeat(scheme), ms, hs, repeat(state))
     if jobs > 1:
+        # imported here, since loading the process pool costs every import about 1 MB
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_row, *columns))
     else:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import CustomPrimitive, jacobian
-from .linalg import real_product, transposed_product
+from .linalg import _check_square, real_product, transposed_product
 from .state import NonFiniteIterateError, PhaseState
 
 # Positions closer to the torus axis than this fraction of R are rejected
@@ -196,24 +196,6 @@ class HamiltonianModel:
             return float(self.value(state.q, state.p))
 
 
-class HarmonicOscillator(HamiltonianModel):
-    """H = (q^2 + p^2) / 2 in one degree of freedom."""
-
-    dim = 1
-
-    def value(self, q, p):
-        return 0.5 * (q[0] * q[0] + p[0] * p[0])
-
-    def grad_q(self, q, p):
-        return np.array(q, copy=True)
-
-    def grad_p(self, q, p):
-        return np.array(p, copy=True)
-
-    def hessian_blocks(self, q, p):
-        return np.eye(1), np.eye(1), np.zeros((1, 1))
-
-
 def mixed_hessian(n: int, dtype=float) -> np.ndarray:
     """Constant coupling matrix with 0 diagonal, -2 above it and +1 below."""
     if n < 2:
@@ -223,18 +205,19 @@ def mixed_hessian(n: int, dtype=float) -> np.ndarray:
 
 
 class QuadraticModel(HamiltonianModel):
-    """Quadratic Hamiltonian whose mixed Hessian is the asymmetric coupling
+    """Quadratic Hamiltonian with a constant coupling matrix C,
 
-        H = (|q|^2 + |p|^2) / 2 + sum_{i<j} (p_i q_j - 2 q_i p_j),
+        H = (|q|^2 + |p|^2) / 2 + q^T C p,
 
-    so H_qq = H_pp = I and H_pq is the constant matrix from
-    :func:`mixed_hessian`.  Its skew part never vanishes, which makes the
-    model a sharp probe for block-defect measurements.
+    so H_qq = H_pp = I and H_pq = C.  With C from :func:`mixed_hessian`
+    (:func:`quadratic_model`) the skew part of C never vanishes, which
+    makes the model a sharp probe for block-defect measurements; with
+    C = 0 (:func:`harmonic_oscillator`) it is separable.
     """
 
-    def __init__(self, n: int):
-        self.dim = n
-        self.coupling = mixed_hessian(n)
+    def __init__(self, coupling: np.ndarray):
+        self.dim = _check_square(coupling, "coupling")
+        self.coupling = coupling
 
     def value(self, q, p):
         return 0.5 * (q @ q + p @ p) + q @ (self.coupling @ p)
@@ -401,12 +384,13 @@ class TokamakModel(HamiltonianModel):
         return p - self.vector_potential(q)
 
 
-def harmonic_oscillator() -> HarmonicOscillator:
-    return HarmonicOscillator()
+def harmonic_oscillator() -> QuadraticModel:
+    """H = (q^2 + p^2) / 2 in one degree of freedom: zero coupling."""
+    return QuadraticModel(np.zeros((1, 1)))
 
 
 def quadratic_model(n: int) -> QuadraticModel:
-    return QuadraticModel(n)
+    return QuadraticModel(mixed_hessian(n))
 
 
 def tokamak_model(params: PhysicalParams | None = None) -> TokamakModel:

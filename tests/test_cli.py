@@ -123,17 +123,28 @@ def test_energy_drift_default_needs_tokamak(capsys):
     assert "tokamak" in err
 
 
-def test_full_scale_flag_yields_to_explicit_steps(capsys):
-    rc, out, _ = run_cli(
-        capsys,
-        [
-            "energy-drift", "--hamiltonian", "harmonic", "--scheme", "sv-pq",
-            "--h", "0.1", "--full-scale", "--steps", "100", "--stride", "10",
-        ],
-    )
+@pytest.mark.parametrize(
+    "argv, steps, stride",
+    [([], 300_000, 300), (["--steps", "3000000"], 3_000_000, 3000)],
+    ids=["default", "long-horizon"],
+)
+def test_energy_drift_length_and_stride(capsys, monkeypatch, argv, steps, stride):
+    runs = []
+    monkeypatch.setattr(cli, "energy_drift_run", lambda *args: runs.append(args[3:]) or [])
+    rc, _, _ = run_cli(capsys, ["energy-drift", *argv])
     assert rc == 0
-    _, rows = csv_rows(out)
-    assert rows[-1][2] == "100"
+    assert runs == [(steps, stride)]
+
+
+def test_full_scale_flag_and_key_are_gone(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["energy-drift", "--full-scale"])
+    assert exc.value.code == 2
+    config = tmp_path / "full.cfg"
+    config.write_text("full_scale = yes\n")
+    rc, _, err = run_cli(capsys, ["energy-drift", "--config", str(config)])
+    assert rc == 2
+    assert "unknown key 'full_scale'" in err
 
 
 def test_optimality_grid_matches_oracle(capsys):
@@ -169,10 +180,12 @@ def test_optimality_out_of_range_is_an_argument_error(capsys, monkeypatch, argv,
 
 
 def test_optimality_takes_the_largest_admitted_sweep_count(capsys):
-    rc, out, _ = run_cli(capsys, ["optimality", "--M", "15"])
+    rc, out, err = run_cli(capsys, ["optimality", "--M", "15"])
     assert rc == 0
     _, rows = csv_rows(out)
     assert [(r[0], r[1]) for r in rows] == [(n, "15") for n in ("2", "3", "5") for _ in range(2)]
+    # the N=2 diagonal block is predicted at norm 5e-30, below J~'s round-off
+    assert float(err.rsplit(":", 1)[1]) <= 1e-6
 
 
 def test_sv_orders_covers_both_compositions(capsys):
@@ -343,21 +356,20 @@ def test_config_key_and_flag_resolve_alike(tmp_path, key):
     if setting.choices:
         raw = setting.choices[-1]
     else:
-        raw = {int: "4", float: "0.05", str: "out.csv", bool: "yes"}[setting.type]
+        raw = {int: "4", float: "0.05", str: "out.csv"}[setting.type]
     config = tmp_path / "one.cfg"
     config.write_text(f"{key} = {raw}\n")
-    flags = [setting.flag] if setting.type is bool else [setting.flag, raw]
     parser = build_parser()
     from_file = resolve_config(parser.parse_args(["trajectory", "--config", str(config)]))
-    from_flag = resolve_config(parser.parse_args(["trajectory", *flags]))
+    from_flag = resolve_config(parser.parse_args(["trajectory", setting.flag, raw]))
     assert getattr(from_file, key) == getattr(from_flag, key) != setting.default
 
 
 def test_parse_config_file_normalizes_keys(tmp_path):
     config = tmp_path / "keys.cfg"
-    config.write_text("h-min = 0.01\nFULL_SCALE = yes\n")
+    config.write_text("h-min = 0.01\nH_COUNT = 4\n")
     values = parse_config_file(str(config))
-    assert values == {"h_min": 0.01, "full_scale": True}
+    assert values == {"h_min": 0.01, "h_count": 4}
 
 
 @pytest.mark.parametrize(

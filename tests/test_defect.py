@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sympdefect.defect import (
     analyze,
@@ -11,7 +13,7 @@ from sympdefect.defect import (
     swap_coordinates,
     swap_coordinates_inverse,
 )
-from sympdefect.hamiltonians import mixed_hessian
+from sympdefect.hamiltonians import QuadraticModel, mixed_hessian
 from sympdefect.integrators import Scheme, SchemeConfig, step_p_implicit
 from sympdefect.linalg import symplectic_matrix
 from sympdefect.state import PhaseState
@@ -217,3 +219,33 @@ def test_exact_quadratic_ad_matches_closed_form(quad3, quad3_state, side, h):
     config = SchemeConfig(Scheme(f"exact-quadratic-{side}"), h)
     ad = flow_jacobian_ad(quad3, config, quad3_state)
     assert np.max(np.abs(ad - exact)) <= 1e-13
+
+
+@st.composite
+def quadratic_cases(draw):
+    """A coupling C of size 1-6, a state, a step and a sweep count."""
+    n = draw(st.integers(1, 6))
+    coupling = draw(st.lists(st.floats(-2.0, 2.0), min_size=n * n, max_size=n * n))
+    z = draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * n, max_size=2 * n))
+    h = 10.0 ** draw(st.floats(-2.5, -0.5))
+    m = draw(st.integers(1, 4))
+    state = PhaseState.from_vector(np.array(z))
+    return QuadraticModel(np.reshape(coupling, (n, n))), state, h, m
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(quadratic_cases())
+def test_structure_identities_hold_for_any_coupling(case):
+    model, state, h, m = case
+    for scheme in (Scheme.P_IMPLICIT, Scheme.Q_IMPLICIT):
+        rep = analyze(model, SchemeConfig(scheme, h, M=m), state)
+        scale = np.linalg.norm(rep.structure)
+        implicit_block = rep.diag_p if scheme.implicit_side == "p" else rep.diag_q
+        assert np.linalg.norm(implicit_block) / scale <= 1e-12
+        assert rep.skew_residual / scale <= 1e-12
+        assert rep.volume_gap / abs(rep.det_antidiag) <= 1e-12
+    assert coordinate_swap_check(model, h, m, state) <= 1e-12
+    j = symplectic_matrix(model.dim)
+    for scheme in (Scheme.EXACT_QUADRATIC_P, Scheme.EXACT_QUADRATIC_Q):
+        rep = analyze(model, SchemeConfig(scheme, h), state)
+        assert np.linalg.norm(rep.structure - j) / np.linalg.norm(rep.structure) <= 1e-12

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -77,6 +80,13 @@ def test_defect_sweep_parallel_jobs_match_serial(quad3, quad3_state):
     parallel = defect_sweep(quad3, Scheme.P_IMPLICIT, [1], hs, quad3_state, jobs=2)
     for a, b in zip(serial.rows, parallel.rows):
         assert a == b
+
+
+def test_package_import_leaves_the_process_pool_unloaded():
+    # defect_sweep imports the pool only when it runs with jobs > 1
+    code = "import sys, sympdefect; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_defect_sweep_of_exact_map_has_no_fittable_signal(quad3, quad3_state):

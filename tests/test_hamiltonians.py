@@ -10,9 +10,11 @@ from sympdefect.hamiltonians import (
     CharacteristicScales,
     F_integral,
     PhysicalParams,
+    QuadraticModel,
     SwappedModel,
     TokamakModel,
     field_profile,
+    harmonic_oscillator,
     mixed_hessian,
     quadratic_model,
     reference_initial_state,
@@ -160,6 +162,18 @@ def test_quadratic_model_gradients_and_blocks():
     assert np.array_equal(qq, np.eye(2))
     assert np.array_equal(pp, np.eye(2))
     assert np.array_equal(pq, mixed_hessian(2))
+
+
+def test_quadratic_model_takes_any_square_coupling():
+    assert np.array_equal(quadratic_model(4).coupling, mixed_hessian(4))
+    oscillator = harmonic_oscillator()
+    assert isinstance(oscillator, QuadraticModel)
+    assert oscillator.dim == 1
+    assert np.array_equal(oscillator.coupling, np.zeros((1, 1)))
+    assert QuadraticModel(np.array([[0.0, 1.0], [-1.0, 0.5]])).dim == 2
+    for bad in (np.zeros((2, 3)), np.zeros(3)):
+        with pytest.raises(ValueError, match="coupling must be square"):
+            QuadraticModel(bad)
 
 
 def test_quadratic_value_matches_gradient_structure(quad3, quad3_state):
