@@ -24,7 +24,7 @@ from .defect import (
     flow_jacobian_analytic,
     flow_jacobian_fd,
 )
-from .experiments import default_h_grid, defect_sweep, loglog_fit, sv_block_orders
+from .experiments import default_h_grid, grid_report, loglog_fit, sv_block_orders
 from .hamiltonians import (
     harmonic_oscillator,
     quadratic_model,
@@ -39,6 +39,7 @@ from .integrators import (
     step_sv_qp,
     step_sv_qp_direct,
 )
+from .linalg import frobenius_norm
 from .quadratic_oracle import coupling_power, predicted_defect_blocks
 from .state import PhaseState
 
@@ -61,16 +62,14 @@ def _model_states():
     ]
 
 
+def _se_report(model, scheme: Scheme, state: PhaseState, h_values=GRID_H):
+    """One stacked report of an SE scheme over M = 1, 2, 3 (outer) x h_values."""
+    return grid_report(model, [SchemeConfig(scheme, h, M=m) for m in (1, 2, 3) for h in h_values], state)
+
+
 def _structure_reports():
-    """All (model, scheme, M, h) structure matrices for criteria 1, 2, 6."""
-    cases = []
-    for name, model, state in _model_states():
-        for scheme in SE_SCHEMES:
-            for m in (1, 2, 3):
-                for h in GRID_H:
-                    report = analyze(model, SchemeConfig(scheme, h, M=m), state)
-                    cases.append((name, scheme, m, h, report))
-    return cases
+    """The reports of criteria 1, 2 and 6, one per model and SE scheme."""
+    return [_se_report(model, scheme, state) for _, model, state in _model_states() for scheme in SE_SCHEMES]
 
 
 def closed_form_cases(n_values=(2, 3, 5), m_values=(1, 2, 3), h_values=(0.1, 0.01)):
@@ -88,21 +87,16 @@ def closed_form_cases(n_values=(2, 3, 5), m_values=(1, 2, 3), h_values=(0.1, 0.0
 
 def criterion_01():
     """The implicit side's diagonal block of J-tilde vanishes."""
-    worst = 0.0
-    for _, scheme, _, _, report in _structure_reports():
-        zero_norm = report.diag_p_norm if scheme.implicit_side == "p" else report.diag_q_norm
-        worst = max(worst, zero_norm)
+    worst = max(
+        max(r.diag_p_norm if r.delta_block == "q" else r.diag_q_norm) for r in _structure_reports()
+    )
     return (worst <= 1e-12,
             f"implicit-side diagonal block norm <= 1e-12, worst {worst:.3e}")
 
 
 def criterion_02():
     """J-tilde is skew-symmetric."""
-    worst = 0.0
-    for _, _, _, _, report in _structure_reports():
-        worst = max(
-            worst, report.skew_residual / np.linalg.norm(report.structure)
-        )
+    worst = max(max(r.skew_residual / frobenius_norm(r.structure)) for r in _structure_reports())
     return (worst <= 1e-12,
             f"relative skew residual <= 1e-12, worst {worst:.3e}")
 
@@ -110,16 +104,11 @@ def criterion_02():
 def criterion_03():
     """delta and alpha are O(h^(M+1)) on the tokamak."""
     tokamak = tokamak_model()
-    sweep = defect_sweep(
-        tokamak, Scheme.Q_IMPLICIT, [1, 2, 3], default_h_grid(),
-        reference_initial_state(tokamak),
-    )
-    h = np.array([r["h"] for r in sweep.rows if r["M"] == 1])
+    h = default_h_grid()
+    report = _se_report(tokamak, Scheme.Q_IMPLICIT, reference_initial_state(tokamak), h)
     lines = []
     ok = True
-    for m in (1, 2, 3):
-        delta = [r["delta"] for r in sweep.rows if r["M"] == m]
-        alpha = [r["alpha"] for r in sweep.rows if r["M"] == m]
+    for m, delta, alpha in zip((1, 2, 3), report.delta.reshape(3, -1), report.alpha.reshape(3, -1)):
         p_delta = loglog_fit(h, delta, floor=SWEEP_FLOOR).slope
         p_alpha = loglog_fit(h, alpha, floor=SWEEP_FLOOR).slope
         ok = ok and abs(p_delta - (m + 1)) <= 0.4 and abs(p_alpha - (m + 1)) <= 0.4
@@ -171,16 +160,13 @@ def criterion_05():
 
 def criterion_06():
     """Volume loss is carried by the antidiagonal block."""
-    worst = 0.0
-    for _, _, _, _, report in _structure_reports():
-        worst = max(worst, report.volume_gap / abs(report.det_antidiag))
+    worst = max(max(r.volume_gap / abs(r.det_antidiag)) for r in _structure_reports())
     state = PhaseState(0.3 * np.ones(3), -0.2 * np.ones(3))
-    sweep = defect_sweep(quadratic_model(3), Scheme.P_IMPLICIT, [1, 2, 3], default_h_grid(), state)
-    h = np.array([r["h"] for r in sweep.rows if r["M"] == 1])
+    h = default_h_grid()
+    report = _se_report(quadratic_model(3), Scheme.P_IMPLICIT, state, h)
     slopes = []
     slopes_ok = True
-    for m in (1, 2, 3):
-        v = [r["volume_defect"] for r in sweep.rows if r["M"] == m]
+    for m, v in zip((1, 2, 3), report.volume_defect.reshape(3, -1)):
         slope = loglog_fit(h, v, floor=SWEEP_FLOOR).slope
         slopes_ok = slopes_ok and abs(slope - (m + 1)) <= 0.4
         slopes.append(f"{slope:.4f}")

@@ -7,6 +7,9 @@ N x N block vanishes identically (which one depends on the implicit side),
 and the remaining blocks deviate at order h^(M+1).  This module computes D
 by complex-step forward AD (or finite differences, or closed-form
 recursions where available) and packages the block decomposition of J~.
+`defect_report` decomposes one Jacobian or a (K, 2N, 2N) stack of them
+with one body: a stack's figures are arrays over K, each bitwise what
+the report of that Jacobian alone gives.
 """
 
 from __future__ import annotations
@@ -113,10 +116,11 @@ class DefectReport:
     """Block decomposition of the transformed structure J~ = D^T J D.
 
     A symplectic map has J~ = J, whose blocks are the targets: P11 = 0,
-    P12 = +I, P21 = -I, P22 = 0.  `delta` is the Frobenius norm of the
-    diagonal block that measures the defect for the scheme at hand
-    (`delta_block` says which); `alpha` is the distance of the
-    antidiagonal block P12 from +I.
+    P12 = +I, P21 = -I, P22 = 0.  `deviations` maps each block to its
+    Frobenius distance from its target; `delta` is that of the diagonal
+    block that measures the defect for the scheme at hand (`delta_block`
+    says which), `alpha` that of P12.  A report of a stack of K Jacobians
+    carries the leading K axis on every array and every figure.
     """
 
     structure: np.ndarray
@@ -126,28 +130,18 @@ class DefectReport:
     delta_block: str
     delta: float
     alpha: float
+    deviations: dict[str, float]
     skew_residual: float
     det_flow: float
     det_antidiag: float
 
     @property
     def diag_q_norm(self) -> float:
-        return linalg.frobenius_norm(self.diag_q)
+        return self.deviations["P11"]
 
     @property
     def diag_p_norm(self) -> float:
-        return linalg.frobenius_norm(self.diag_p)
-
-    @property
-    def deviations(self) -> dict[str, float]:
-        """Frobenius distance of each block P11..P22 from its target."""
-        n = len(self.diag_q)
-        return {
-            "P11": self.diag_q_norm,
-            "P12": self.alpha,
-            "P21": linalg.frobenius_norm(self.structure[n:, :n] + np.eye(n)),
-            "P22": self.diag_p_norm,
-        }
+        return self.deviations["P22"]
 
     @property
     def volume_gap(self) -> float:
@@ -163,40 +157,42 @@ class DefectReport:
 
 
 def defect_report(dflow: np.ndarray, delta_block: str = "q") -> DefectReport:
-    """Decompose J~ = D^T J D for a flow Jacobian D of even size."""
+    """Decompose J~ = D^T J D for a flow Jacobian D of even size 2N, or for
+    each Jacobian of a (K, 2N, 2N) stack in the same numpy calls."""
     dflow = np.asarray(dflow, dtype=float)
-    size = linalg._check_square(dflow, "flow Jacobian")
-    if size % 2:
-        raise ValueError(f"flow Jacobian must have even size, got {size}")
+    if dflow.ndim not in (2, 3) or dflow.shape[-1] != dflow.shape[-2] or dflow.shape[-1] % 2:
+        raise ValueError(f"flow Jacobian must be square of even size, got shape {dflow.shape}")
     if delta_block not in ("q", "p"):
         raise ValueError(f"delta_block must be 'q' or 'p', got {delta_block!r}")
-    n = size // 2
+    n = dflow.shape[-1] // 2
     j = linalg.symplectic_matrix(n)
-    structure = dflow.T @ j @ dflow
-    diag_q = structure[:n, :n]
-    diag_p = structure[n:, n:]
-    antidiag = structure[:n, n:]
-    eye = np.eye(n)
-    delta_matrix = diag_q if delta_block == "q" else diag_p
+    linalg._require_finite(dflow)
+    structure = dflow.swapaxes(-1, -2) @ j @ dflow
+    linalg._require_finite(structure)
+    # the blocks P11, P12, P21, P22 of J~ - J, each less its target
+    lead = dflow.shape[:-2]
+    blocks = (structure - j).reshape(*lead, 2, n, 2, n).swapaxes(-3, -2).reshape(*lead, 4, n, n)
+    deviations = dict(zip(("P11", "P12", "P21", "P22"), linalg.frobenius_norm(blocks).T))
+    antidiag = structure[..., :n, n:]
     return DefectReport(
         structure=structure,
-        diag_q=diag_q,
-        diag_p=diag_p,
+        diag_q=structure[..., :n, :n],
+        diag_p=structure[..., n:, n:],
         antidiag=antidiag,
         delta_block=delta_block,
-        delta=linalg.frobenius_norm(delta_matrix),
-        alpha=linalg.frobenius_norm(antidiag - eye),
-        skew_residual=linalg.frobenius_norm(structure + structure.T),
-        det_flow=linalg.determinant(dflow),
-        det_antidiag=linalg.determinant(antidiag),
+        delta=deviations["P11" if delta_block == "q" else "P22"],
+        alpha=deviations["P12"],
+        deviations=deviations,
+        skew_residual=linalg.frobenius_norm(structure + structure.swapaxes(-1, -2)),
+        det_flow=np.linalg.det(dflow),
+        det_antidiag=np.linalg.det(antidiag),
     )
 
 
 def analyze(model, config: SchemeConfig, state: PhaseState) -> DefectReport:
     """AD flow Jacobian plus block decomposition; delta measures the
-    explicit side's diagonal block (the one-sided maps zero the other)."""
-    dflow = flow_jacobian_ad(model, config, state)
-    return defect_report(dflow, "q" if config.scheme.implicit_side == "p" else "p")
+    explicit side's diagonal block."""
+    return defect_report(flow_jacobian_ad(model, config, state), config.scheme.explicit_side)
 
 
 def coordinate_swap_check(model, h: float, m: int, state: PhaseState) -> float:

@@ -19,7 +19,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .defect import analyze
+from .defect import DefectReport, defect_report, flow_jacobian_ad
 from .integrators import Scheme, SchemeConfig, one_step, orbit
 from .state import PhaseState
 
@@ -100,31 +100,26 @@ class DefectSweep:
     fits: dict[tuple[str, int | None], FitResult | None]
 
 
-def _sweep_row(model, scheme: Scheme, m: int | None, h: float, state: PhaseState) -> dict:
-    report = analyze(model, SchemeConfig(scheme, h, M=m), state)
-    return {
-        "scheme": scheme.value,
-        "M": m,
-        "M1": None,
-        "M2": None,
-        "h": h,
-        "delta": report.delta,
-        "alpha": report.alpha,
-        "skew_residual": report.skew_residual,
-        "det_flow": report.det_flow,
-        "det_antidiag": report.det_antidiag,
-        "discrepancy": report.volume_gap,
-        "volume_defect": report.volume_defect,
-    }
+def grid_report(model, configs: list[SchemeConfig], state: PhaseState, jobs: int = 1) -> DefectReport:
+    """The AD flow Jacobians at a non-empty grid of configs of one scheme,
+    decomposed in one `defect_report` call; `jobs` > 1 maps the Jacobians
+    over a process pool."""
+    if not configs:
+        raise ValueError("the grid has no points")
+    columns = (repeat(model), configs, repeat(state))
+    if jobs > 1:
+        # imported here, since loading the process pool costs every import about 1 MB
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            dflows = list(pool.map(flow_jacobian_ad, *columns))
+    else:
+        dflows = list(map(flow_jacobian_ad, *columns))
+    return defect_report(np.array(dflows), configs[0].scheme.explicit_side)
 
 
 def defect_sweep(
-    model,
-    scheme: Scheme,
-    m_values,
-    h_values,
-    state: PhaseState,
-    jobs: int = 1,
+    model, scheme: Scheme, m_values, h_values, state: PhaseState, jobs: int = 1
 ) -> DefectSweep:
     """Defect quantities over an (M, h) grid, with per-M order fits."""
     scheme = Scheme(scheme)
@@ -134,25 +129,24 @@ def defect_sweep(
         )
     h_values = np.asarray(h_values, dtype=float)
     m_list = [int(m) for m in m_values] if scheme.counts else [None]
-    ms = [m for m in m_list for _ in h_values]
-    hs = [float(h) for _ in m_list for h in h_values]
-    columns = (repeat(model), repeat(scheme), ms, hs, repeat(state))
-    if jobs > 1:
-        # imported here, since loading the process pool costs every import about 1 MB
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_row, *columns))
-    else:
-        rows = list(map(_sweep_row, *columns))
-
-    fits: dict[tuple[str, int | None], FitResult | None] = {}
-    for m in m_list:
-        group = [r for r in rows if r["M"] == m]
-        h = [r["h"] for r in group]
-        fits[("delta", m)] = loglog_fit(h, [r["delta"] for r in group])
-        fits[("alpha", m)] = loglog_fit(h, [r["alpha"] for r in group])
-        fits[("volume", m)] = loglog_fit(h, [r["volume_defect"] for r in group])
+    configs = [SchemeConfig(scheme, float(h), M=m) for m in m_list for h in h_values]
+    report = grid_report(model, configs, state, jobs)
+    columns = {
+        "delta": report.delta, "alpha": report.alpha, "skew_residual": report.skew_residual,
+        "det_flow": report.det_flow, "det_antidiag": report.det_antidiag,
+        "discrepancy": report.volume_gap, "volume_defect": report.volume_defect,
+    }
+    rows = [
+        {"scheme": scheme.value, "M": c.M, "M1": None, "M2": None, "h": c.h, **dict(zip(columns, v))}
+        for c, v in zip(configs, zip(*(column.tolist() for column in columns.values())))
+    ]
+    # the report's rows run over h within each M
+    fitted = {"delta": report.delta, "alpha": report.alpha, "volume": report.volume_defect}
+    fits = {
+        (quantity, m): loglog_fit(h_values, values.reshape(len(m_list), -1)[i])
+        for i, m in enumerate(m_list)
+        for quantity, values in fitted.items()
+    }
     return DefectSweep(rows=rows, fits=fits)
 
 
@@ -160,24 +154,20 @@ SV_BLOCKS = ("P11", "P12", "P21", "P22")
 
 
 def sv_block_orders(
-    model,
-    scheme: Scheme,
-    m1: int,
-    m2: int,
-    h_values,
-    state: PhaseState,
+    model, scheme: Scheme, m1: int, m2: int, h_values, state: PhaseState
 ) -> tuple[list[dict], dict[str, FitResult | None]]:
     """Deviation norms of all four structure blocks of a composition map,
     each against its symplectic target (`DefectReport.deviations`)."""
     scheme = Scheme(scheme)
     if not scheme.composition:
         raise ValueError(f"composition scheme expected, got {scheme.value!r}")
-    rows = []
-    for h in np.asarray(h_values, dtype=float):
-        report = analyze(model, SchemeConfig(scheme, float(h), M1=m1, M2=m2), state)
-        rows.append({"h": float(h), **report.deviations})
-    h = [r["h"] for r in rows]
-    fits = {block: loglog_fit(h, [r[block] for r in rows]) for block in SV_BLOCKS}
+    configs = [
+        SchemeConfig(scheme, float(h), M1=m1, M2=m2) for h in np.asarray(h_values, dtype=float)
+    ]
+    deviations = grid_report(model, configs, state).deviations
+    values = zip(*(deviations[block].tolist() for block in SV_BLOCKS))
+    rows = [{"h": c.h, **dict(zip(SV_BLOCKS, v))} for c, v in zip(configs, values)]
+    fits = {block: loglog_fit([c.h for c in configs], deviations[block]) for block in SV_BLOCKS}
     return rows, fits
 
 
@@ -335,14 +325,16 @@ def energy_drift_run(
         signed = []
         states = []
         blown = False
-        for k, current in orbit(model, config, state, steps, stride):
-            diff = model.energy(current) - e0
-            indices.append(k)
-            signed.append(diff)
-            states.append(current)
-            if abs(diff) > threshold:
-                blown = True
-                break
+        # overflow on a diverging orbit ends in IntegrationError, not a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, current in orbit(model, config, state, steps, stride):
+                diff = model.energy(current) - e0
+                indices.append(k)
+                signed.append(diff)
+                states.append(current)
+                if abs(diff) > threshold:
+                    blown = True
+                    break
         idx = np.array(indices, dtype=int)
         times = config.h * idx
         signed_errs = np.array(signed)

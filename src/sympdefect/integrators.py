@@ -37,7 +37,8 @@ class Scheme(str, Enum):
 
     `counts` names the SchemeConfig counts the scheme takes (others are
     ignored).  The implicit side, "p" or "q", is the variable the map
-    solves for, a composition's that of its second half.
+    solves for, a composition's that of its second half; `explicit_side`
+    is the other, whose diagonal block of J~ carries the defect.
     `step(model, state, config)` looks its step function up by name at
     call time, so a patched module attribute (a tracer) takes effect.
     """
@@ -61,6 +62,7 @@ class Scheme(str, Enum):
         member._value_ = value
         member.counts = counts
         member.implicit_side = implicit_side
+        member.explicit_side = "q" if implicit_side == "p" else "p"
         member.step = step
         return member
 
@@ -318,10 +320,13 @@ def integrate(
     indices = []
     rows = []
     energies = []
-    for k, current in orbit(model, config, state, steps, stride):
-        indices.append(k)
-        rows.append(current.to_vector().astype(float))
-        energies.append(model.energy(current))
+    # a diverging orbit overflows before its iterate check turns the inf
+    # into IntegrationError; one guard per run keeps numpy quiet meanwhile
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, current in orbit(model, config, state, steps, stride):
+            indices.append(k)
+            rows.append(current.to_vector().astype(float))
+            energies.append(model.energy(current))
     idx = np.array(indices, dtype=int)
     return Trajectory(
         step_indices=idx,

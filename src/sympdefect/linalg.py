@@ -8,12 +8,15 @@ and determinants that refuse non-finite input.
 so flows that solve a linear system can be differentiated with no solve
 rule of their own.  :func:`solve` and :func:`transposed_product` also
 take one matrix per column of a batch (see :class:`sympdefect.PhaseState`)
-and give each column what the unbatched call gives it.
+and give each column what the unbatched call gives it;
+:func:`frobenius_norm` and :func:`determinant` take a stack (K, n, n) and
+give each matrix, bitwise, what the call on that matrix alone gives it.
 """
 
 from __future__ import annotations
 
 import cmath
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,6 +26,11 @@ def _check_square(a: np.ndarray, name: str = "matrix") -> int:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
     return a.shape[0]
+
+
+def _require_finite(a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
 
 
 def solve(a, b) -> np.ndarray:
@@ -40,8 +48,8 @@ def solve(a, b) -> np.ndarray:
     a = np.asarray(a)
     # a Python sum over tolist() is the cheap test on small matrices; it
     # also overflows for large finite entries, so np.isfinite confirms
-    if not cmath.isfinite(sum(a.ravel().tolist())) and not np.isfinite(a).all():
-        raise ValueError("matrix has non-finite entries")
+    if not cmath.isfinite(sum(a.ravel().tolist())):
+        _require_finite(a)
     if a.ndim == 3:
         return np.linalg.solve(a, b.T[:, :, None])[:, :, 0].T
     return np.linalg.solve(a, b)
@@ -75,25 +83,35 @@ def real_product(a: np.ndarray, x) -> np.ndarray:
     return (a @ pairs).view(np.complex128).reshape(x.shape)
 
 
+@lru_cache(maxsize=16)
 def symplectic_matrix(n: int) -> np.ndarray:
-    """Canonical structure matrix [[0, I], [-I, 0]] of size 2n x 2n."""
+    """Canonical structure matrix [[0, I], [-I, 0]] of size 2n x 2n, built
+    once per n and read-only."""
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     j = np.zeros((2 * n, 2 * n))
     eye = np.eye(n)
     j[:n, n:] = eye
     j[n:, :n] = -eye
+    j.flags.writeable = False
     return j
 
 
-def frobenius_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(a, dtype=float)))
+def frobenius_norm(a: np.ndarray):
+    """Frobenius norm of a matrix, or of each matrix of a stack (..., m, n).
 
-
-def determinant(a: np.ndarray) -> float:
-    """Determinant of a float matrix (LU with partial pivoting)."""
+    Each is the root of one dot product of the flat matrix with itself, as
+    ``np.linalg.norm`` takes it on one matrix, so a stack's norms are
+    bitwise its matrices' (``np.linalg.norm(axis=(-2, -1))``'s are not).
+    """
     a = np.asarray(a, dtype=float)
-    _check_square(a)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
-    return float(np.linalg.det(a))
+    flat = a.reshape(*a.shape[:-2], 1, -1)
+    return np.sqrt((flat @ flat.swapaxes(-1, -2)).reshape(a.shape[:-2]))
+
+
+def determinant(a: np.ndarray):
+    """Determinant of a float matrix or of each of a (K, n, n) stack (LU);
+    numpy refuses a non-square one."""
+    a = np.asarray(a, dtype=float)
+    _require_finite(a)
+    return np.linalg.det(a)

@@ -13,6 +13,9 @@ import pytest
 from sympdefect import checks
 from sympdefect import cli
 from sympdefect.cli import build_parser, main, parse_config_file, resolve_config
+from sympdefect.hamiltonians import harmonic_oscillator, quadratic_model
+from sympdefect.integrators import IntegrationError, Scheme, SchemeConfig, integrate
+from sympdefect.state import PhaseState
 
 
 def run_cli(capsys, argv):
@@ -33,6 +36,28 @@ def test_trajectory_default_header_and_sampling(capsys):
     assert header == ["step", "t", "q1", "q2", "q3", "p1", "p2", "p3", "H"]
     assert [r[0] for r in rows] == ["0", "4", "8"]
     assert float(rows[1][1]) == pytest.approx(4 * 0.1, rel=1e-15)
+
+
+# h = 1e308 overflows the first sweeps of both quadratic couplings; pytest
+# turns a leaked numpy warning into an error
+DIVERGING = ["--h", "1e308", "--steps", "50"]
+
+
+@pytest.mark.parametrize("hamiltonian", ["harmonic", "quadratic"])
+@pytest.mark.parametrize(
+    "command", [["trajectory"], ["energy-drift", "--scheme", "p-implicit"]], ids=lambda c: c[0]
+)
+def test_diverging_quadratic_orbit_fails_without_a_warning(capsys, command, hamiltonian):
+    rc, _, err = run_cli(capsys, [*command, "--hamiltonian", hamiltonian, *DIVERGING])
+    assert rc == 1
+    assert "integration failed at step" in err
+
+
+@pytest.mark.parametrize("model", [harmonic_oscillator(), quadratic_model(3)], ids=["harmonic", "quadratic"])
+def test_diverging_quadratic_integrate_raises_without_a_warning(model):
+    state = PhaseState(np.full(model.dim, 0.3), np.full(model.dim, -0.2))
+    with pytest.raises(IntegrationError, match="integration failed at step"):
+        integrate(model, SchemeConfig(Scheme.Q_IMPLICIT, 1e308, M=3), state, 50)
 
 
 def test_trajectory_rejects_zero_step(capsys):

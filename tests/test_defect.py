@@ -90,10 +90,63 @@ def test_report_deviations_measure_each_block_from_its_target(tokamak, tokamak_s
 
 
 def test_report_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="even size"):
         defect_report(np.eye(5))
+    with pytest.raises(ValueError, match="even size"):
+        defect_report(np.stack([np.eye(5)] * 2))
+    with pytest.raises(ValueError, match="square"):
+        defect_report(np.ones((2, 4, 6)))
     with pytest.raises(ValueError):
         defect_report(np.eye(4), "x")
+    stack = np.stack([np.eye(4)] * 3)
+    stack[2, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        defect_report(stack)
+
+
+# every scheme over a small grid, on each model that supports it
+SCHEME_GRIDS = {
+    scheme: [
+        SchemeConfig(scheme, h, M=m, M1=1, M2=m)
+        for m in ((1, 3) if scheme.counts else (1,))
+        for h in (0.02, 0.07, 0.2)
+    ]
+    for scheme in Scheme
+}
+SCHEME_MODELS = {
+    Scheme.LINEAR_IMPLICIT_EM: ["tokamak"],
+    Scheme.EXACT_QUADRATIC_P: ["quad3", "oscillator"],
+    Scheme.EXACT_QUADRATIC_Q: ["quad3", "oscillator"],
+}
+REPORT_FIGURES = (
+    "structure", "diag_q", "diag_p", "antidiag", "delta", "alpha", "skew_residual",
+    "det_flow", "det_antidiag", "diag_q_norm", "diag_p_norm", "volume_gap", "volume_defect",
+)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_stacked_report_is_each_report(request, scheme):
+    for name in SCHEME_MODELS.get(scheme, ["tokamak", "quad3", "oscillator"]):
+        model, state = request.getfixturevalue(name), request.getfixturevalue(f"{name}_state")
+        dflows = np.array([flow_jacobian_ad(model, c, state) for c in SCHEME_GRIDS[scheme]])
+        stacked = defect_report(dflows, scheme.explicit_side)
+        assert stacked.delta.shape == (len(dflows),)
+        n = model.dim
+        for k, dflow in enumerate(dflows):
+            one = defect_report(dflow, scheme.explicit_side)
+            for figure in REPORT_FIGURES:
+                assert np.array_equal(getattr(stacked, figure)[k], getattr(one, figure)), figure
+            for block, value in one.deviations.items():
+                assert np.array_equal(stacked.deviations[block][k], value), block
+            # one matrix's figures are bitwise numpy's own forms
+            s = one.structure
+            assert np.array_equal(s, dflow.T @ symplectic_matrix(n) @ dflow)
+            assert one.diag_q_norm == np.linalg.norm(s[:n, :n])
+            assert one.diag_p_norm == np.linalg.norm(s[n:, n:])
+            assert one.alpha == np.linalg.norm(s[:n, n:] - np.eye(n))
+            assert one.skew_residual == np.linalg.norm(s + s.T)
+            assert one.det_flow == np.linalg.det(dflow)
+            assert one.det_antidiag == np.linalg.det(s[:n, n:])
 
 
 def test_exactly_solved_step_preserves_structure(quad3, quad3_state):

@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from sympdefect.defect import analyze
 from sympdefect.experiments import (
     classify_drift,
     default_h_grid,
@@ -87,6 +88,31 @@ def test_package_import_leaves_the_process_pool_unloaded():
     code = "import sys, sympdefect; print('concurrent.futures.process' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("name", ["tokamak", "quad3", "oscillator"])
+def test_sweep_rows_are_per_point_reports(request, name):
+    model, state = request.getfixturevalue(name), request.getfixturevalue(f"{name}_state")
+    grid = default_h_grid(count=4)
+    schemes = [Scheme.P_IMPLICIT, Scheme.Q_IMPLICIT]
+    schemes += [Scheme.LINEAR_IMPLICIT_EM] if name == "tokamak" else [Scheme.EXACT_QUADRATIC_Q]
+    for scheme in schemes:
+        for row in defect_sweep(model, scheme, [1, 3], grid, state).rows:
+            rep = analyze(model, SchemeConfig(scheme, row["h"], M=row["M"]), state)
+            assert row == {
+                "scheme": scheme.value, "M": row["M"], "M1": None, "M2": None, "h": row["h"],
+                "delta": rep.delta, "alpha": rep.alpha, "skew_residual": rep.skew_residual,
+                "det_flow": rep.det_flow, "det_antidiag": rep.det_antidiag,
+                "discrepancy": rep.volume_gap, "volume_defect": rep.volume_defect,
+            }
+    for scheme in (Scheme.SV_PQ, Scheme.SV_QP):
+        rows, _ = sv_block_orders(model, scheme, 2, 1, grid, state)
+        assert [r["h"] for r in rows] == list(grid)
+        for row in rows:
+            rep = analyze(model, SchemeConfig(scheme, row["h"], M1=2, M2=1), state)
+            assert row == {"h": row["h"], **rep.deviations}
+    with pytest.raises(ValueError, match="no points"):
+        defect_sweep(model, Scheme.P_IMPLICIT, [], grid, state)
 
 
 def test_defect_sweep_of_exact_map_has_no_fittable_signal(quad3, quad3_state):

@@ -114,9 +114,27 @@ def test_determinant_is_multiplicative():
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
+def test_determinant_of_a_stack_is_each_determinant_bitwise():
+    stack = np.random.default_rng(12).standard_normal((5, 6, 6))
+    dets = determinant(stack)
+    assert dets.shape == (5,)
+    assert [d.tobytes() for d in dets] == [determinant(a).tobytes() for a in stack]
+
+
 def test_determinant_rejects_nonfinite():
     with pytest.raises(ValueError):
         determinant(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+    for entry in (np.inf, np.nan):
+        stack = np.ones((3, 2, 2))
+        stack[-1, -1, -1] = entry  # one entry of the last matrix
+        with pytest.raises(ValueError, match="non-finite"):
+            determinant(stack)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (4, 2, 3), (4,)])
+def test_determinant_rejects_non_square_input(shape):
+    with pytest.raises(ValueError):
+        determinant(np.ones(shape))
 
 
 # quadratic_oracle.coupling_power takes its exact int64 powers from
@@ -142,6 +160,11 @@ def test_mat_pow_preserves_integer_dtype():
 
 def test_frobenius_norm():
     assert frobenius_norm(np.array([[3.0, 4.0], [0.0, 0.0]])) == 5.0
+    # a stack's norms are bitwise np.linalg.norm of each matrix
+    stack = np.random.default_rng(13).standard_normal((4, 2, 5, 5))
+    norms = frobenius_norm(stack)
+    assert norms.shape == (4, 2)
+    assert np.array_equal(norms, [[np.linalg.norm(a) for a in pair] for pair in stack])
 
 
 @pytest.mark.parametrize("dtype", [float, complex])

@@ -11,4 +11,6 @@ def test_readme_python_blocks_run(capsys):
     assert len(blocks) >= 2
     for code in blocks:
         exec(compile(code, str(README), "exec"), {"__name__": "readme"})
-    assert "('M1', 'M2') q\np\n" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "('M1', 'M2') q\np\n" in out
+    assert "(3, 6, 6) (3,)\nTrue\n" in out
