@@ -1,18 +1,22 @@
 """Forward-mode differentiation by complex steps.
 
 :func:`jacobian` runs a vector map once, on the n-column batch whose
-column j is x + i STEP e_j, and reads column j of the Jacobian from the
-imaginary parts of output column j.  STEP is so small that its square
-underflows to zero, so complex arithmetic on these inputs is dual-number
-arithmetic: real parts are the float computation, imaginary parts its
-first-order tangents, and truncated iterations are differentiated exactly
-as executed.  Model code needs no number type of its own, only operations
+column j is x + i STEP e_j (a cached read-only seed plus x), and reads
+column j of the Jacobian from the imaginary parts of output column j.
+STEP is so small that its square underflows to zero, so complex
+arithmetic on these inputs is dual-number arithmetic: real parts are the
+float computation, imaginary parts its first-order tangents, and
+truncated iterations are differentiated exactly as executed.  Model code needs no number type of its own, only operations
 that act column by column on a trailing batch axis and primitives that
-accept complex input (``cmath``, or a :class:`CustomPrimitive`).
+accept complex input (``cmath``, or a :class:`CustomPrimitive`).  A model
+may also take a whole evaluation as one elemental function, as the
+tokamak potential does: real parts from its float body, tangents from its
+closed-form derivatives.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -49,6 +53,17 @@ class CustomPrimitive:
         return self.evaluate(x)
 
 
+@functools.lru_cache(maxsize=128)
+def _seed(n: int) -> np.ndarray:
+    """The read-only (n, n) seed i STEP I, with real parts -0.0: -0.0 + x is
+    x for every float x, signed zeros included, so seed + x carries x exactly."""
+    seed = np.empty((n, n), dtype=complex)
+    seed.real = -0.0
+    seed.imag = STEP * np.eye(n)
+    seed.setflags(write=False)
+    return seed
+
+
 def jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
     """Jacobian of a vector map at x, from one complex-step pass over all inputs.
 
@@ -62,10 +77,7 @@ def jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarra
     if not np.all(np.isfinite(x)):
         raise NonFiniteError("seed point has non-finite entries")
     n = x.size
-    z = np.empty((n, n), dtype=complex)
-    z.real = x[:, None]
-    z.imag = STEP * np.eye(n)
-    out = np.asarray(fn(z), dtype=complex)
+    out = np.asarray(fn(_seed(n) + x[:, None]), dtype=complex)
     if out.ndim != 2 or out.shape[1] != n:
         raise ValueError(f"map must return one column per input ({n}), got shape {out.shape}")
     with np.errstate(over="ignore"):

@@ -17,31 +17,28 @@ All model callables accept float or complex arrays, so flows built on them
 can be differentiated by complex-step forward mode unchanged.  Gradients
 and the tokamak potential also take batches (N, K) with a trailing batch
 axis, so one step, and one forward-mode pass, covers K states; `value` and
-`energy` take single states only.  The tokamak potential is one body for
-both dtypes: it picks real or complex primitives once per call and
-otherwise runs the same operations, once per column of a batch.
+`energy` take single states only.  The tokamak potential has one float
+body, which returns A, dA/dq and, on request, the Hessians of A.  A
+complex step runs it on the real part, once per distinct real column, and
+takes its tangents from those derivatives (tangent-linear mode with the
+whole potential as one elemental function), so a complex-step pass costs
+one field evaluation and its real parts are the float step's bitwise.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import CustomPrimitive, jacobian
+from .autodiff import jacobian
 from .linalg import _check_square, real_product, transposed_product
 from .state import NonFiniteIterateError, PhaseState
 
 # Positions closer to the torus axis than this fraction of R are rejected
 # because the potential has a genuine singularity at rho = 0.
 AXIS_TOLERANCE = 1e-9
-
-# cmath.log's real part is not math.log's near 1 (CPython switches to a
-# log1p form there), and log(rho / R) lives near 1; this primitive keeps the
-# complex pass on the float step's arithmetic
-_LOG = CustomPrimitive(evaluate=math.log, derivative=lambda x: 1.0 / x, name="log")
 
 
 class AxisSingularityError(ValueError):
@@ -264,13 +261,13 @@ class TokamakModel(HamiltonianModel):
 
     Positions and momenta are in units of (L0, P0); the one-step maps see
     H(q, p) = |p - A(q)|^2 / 2 with A the scaled vector potential.  The
-    flux integral F is a registered AD primitive whose derivative is the
-    field profile f, so differentiating a flow never runs through F's
-    closed form, whose branches and series loop are exact only in value.
-    Float and complex positions share one potential body, so the AD
-    Jacobian differentiates exactly the arithmetic of the float step; a
-    position whose radius r or flux F(r) overflows raises
-    NonFiniteIterateError on both.
+    derivatives of A are closed forms in F, its derivative f and f', so
+    differentiating a flow never runs through F's closed form, whose
+    branches and series loop are exact only in value.  Complex steps take
+    their values from the float body, so the AD Jacobian differentiates the
+    float step's trajectory; a position whose radius r or flux F(r)
+    overflows raises NonFiniteIterateError on both.  The Hessian blocks
+    are closed forms too, built from the same second derivatives of A.
     """
 
     dim = 3
@@ -278,95 +275,143 @@ class TokamakModel(HamiltonianModel):
     def __init__(self, params: PhysicalParams | None = None):
         self.params = params if params is not None else PhysicalParams()
         self.scales = CharacteristicScales.from_params(self.params)
-        self._flux = CustomPrimitive(
-            evaluate=self._flux_value,
-            derivative=self._flux_slope,
-            name="field-profile-integral",
-        )
+        par, s = self.params, self.scales
+        # the float body's constants: B0, R, a, L0, 1 / A0 and L0 / A0
+        self._constants = (par.B0, par.R, par.a, s.L0, 1.0 / s.A0, s.L0 / s.A0)
         # one-entry memo: fixed-point sweeps and adjacent steps revisit the
         # same position, so this halves field evaluations
         self._memo_key: bytes | tuple | None = None
         self._memo_pot: np.ndarray | None = None
         self._memo_jac: np.ndarray | None = None
 
-    def _flux_value(self, r: float) -> float:
-        return F_integral(r, self.params)
-
-    def _flux_slope(self, r: float) -> float:
-        return field_profile(r, self.params)
+    def _field(self, x: float, y: float, z: float, order: int) -> list[float]:
+        """A and its derivatives up to `order` (0, 1 or 2) at one dimensionless
+        position, in floats, as one flat list: A_i (3 entries), then
+        dA_i/dq_j row-major (9), then d^2 A_i / dq_j dq_l in [i, j, l] order (27).
+        """
+        par = self.params
+        b0, big_r, a, length, inv_a0, scale = self._constants
+        x, y, z = x * length, y * length, z * length
+        u = x * x + y * y
+        rho = math.sqrt(u)
+        if rho <= AXIS_TOLERANCE * big_r:
+            raise AxisSingularityError(
+                f"position is within {AXIS_TOLERANCE:g} R of the torus axis"
+            )
+        dr = rho - big_r
+        r = math.sqrt(dr * dr + z * z)
+        # a diverging orbit overflows r, or F(r), while q itself is finite;
+        # any comparison with nan fails
+        flux = F_integral(r, par) if r < math.inf else math.inf
+        if not flux < math.inf:
+            raise NonFiniteIterateError(f"field flux overflows at radius {r:g} m")
+        w = flux / u
+        out = [
+            -b0 * y * w * inv_a0,
+            b0 * x * w * inv_a0,
+            -b0 * big_r * math.log(rho / big_r) * inv_a0,
+        ]
+        if order == 0:
+            return out
+        # g = f(r)/r stays finite on the magnetic axis circle r = 0
+        g = (1.0 + r * r) / (big_r * (1.0 + a * r))
+        c = (g * dr / rho - 2.0 * w) / u
+        wx = x * c
+        wy = y * c
+        wz = g * z / u
+        out += [
+            -b0 * y * wx * scale, -b0 * (w + y * wy) * scale, -b0 * y * wz * scale,
+            b0 * (w + x * wx) * scale, b0 * x * wy * scale, b0 * x * wz * scale,
+            -b0 * big_r * x / u * scale, -b0 * big_r * y / u * scale, 0.0,
+        ]
+        if order == 1:
+            return out
+        # second derivatives of w = F/u: w_xx = c + x^2 e, w_xy = x y e,
+        # w_jz = q_j c_z, with g' = dg/dr; dr/r and z/r are bounded and
+        # always multiplied by dr or z, so on r = 0 they count as 0
+        ar = 1.0 + a * r
+        g1 = (2.0 * r + a * r * r - a) / (big_r * ar * ar)
+        dr_r, z_r = (dr / r, z / r) if r > 0.0 else (0.0, 0.0)
+        e = (g1 * dr * dr_r / u + g * big_r / (rho * u) - 4.0 * c) / u
+        cz = (g1 * dr * z_r / rho - 2.0 * g * z / u) / u
+        wxx, wxy, wyy = c + x * x * e, x * y * e, c + y * y * e
+        wxz, wyz, wzz = x * cz, y * cz, (g + g1 * z * z_r) / u
+        hx = -b0 * scale * length
+        hy = -hx
+        hz = b0 * big_r / (u * u) * scale * length
+        axy, ayy = hx * (wx + y * wxy), hx * (2.0 * wy + y * wyy)
+        axz, ayz = hx * y * wxz, hx * (wz + y * wyz)
+        bxx, bxy = hy * (2.0 * wx + x * wxx), hy * (wy + x * wxy)
+        bxz, byz = hy * (wz + x * wxz), hy * x * wyz
+        zxx, zxy = hz * (x * x - y * y), hz * 2.0 * x * y
+        out += [
+            hx * y * wxx, axy, axz, axy, ayy, ayz, axz, ayz, hx * y * wzz,
+            bxx, bxy, bxz, bxy, hy * x * wyy, byz, bxz, byz, hy * x * wzz,
+            zxx, zxy, 0.0, zxy, -zxx, 0.0, 0.0, 0.0, 0.0,
+        ]
+        return out
 
     def potential_and_jacobian(self, q: np.ndarray, with_jacobian: bool = True):
         """Dimensionless A(q) and optionally its Jacobian dA/dq.
 
-        One body serves float and complex arrays: only the primitives differ
-        (math.sqrt/log and F_integral for floats, cmath.sqrt and the
-        registered log and flux primitives for complex steps), so both run the same
-        operations in the same order, and guards compare real parts.  For a
-        batch q of shape (3, K) the body runs once per column, and A has
-        shape (3, K) and dA/dq shape (3, 3, K).  The arrays returned are
-        read-only.  Results are memoised for one input.  A 3-vector's bytes
-        fix its dtype by their length, but a batch is keyed on its shape and
-        dtype as well: a float (3, 2) batch and a complex 3-vector can have
-        the same bytes.
+        Float positions run the float body `_field` once per column.  A
+        complex position x + i t is a complex step: its real part runs the
+        float body, once per distinct real column (in a complex-step pass
+        every column shares one), and the tangents are the exact first-order
+        products dA/dq t and (d^2 A/dq^2) t, each summed in one fixed order
+        per column.  Real parts are therefore bitwise the float step's.  For
+        a batch q of shape (3, K), A has shape (3, K) and dA/dq shape
+        (3, 3, K).  The arrays returned are read-only.  Results are memoised
+        for one input.  A 3-vector's bytes fix its dtype by their length,
+        but a batch is keyed on its shape and dtype as well: a float (3, 2)
+        batch and a complex 3-vector can have the same bytes.
         """
         vector = q.ndim == 1
         key = q.tobytes() if vector else (q.shape, q.dtype.char, q.tobytes())
         if key == self._memo_key and (self._memo_jac is not None or not with_jacobian):
             return self._memo_pot, (self._memo_jac if with_jacobian else None)
+        order = 1 if with_jacobian else 0
+        # rows: A, then dA/dq row-major; one column per batch column
         if q.dtype.kind == "c":
-            sqrt, log, flux_of = cmath.sqrt, _LOG, self._flux
+            out = self._complex_step(q[:, None] if vector else q, order)
+            if vector:
+                out = out[:, 0]
+        elif vector:
+            out = np.array(self._field(*q.tolist(), order))
         else:
-            sqrt, log, flux_of = math.sqrt, math.log, self._flux_value
-        par = self.params
-        b0, big_r, a = par.B0, par.R, par.a
-        s = self.scales
-        inv_a0 = 1.0 / s.A0
-        pots, jacs = [], []
-        for x, y, z in (q.tolist(),) if vector else q.T.tolist():
-            x, y, z = x * s.L0, y * s.L0, z * s.L0
-            u = x * x + y * y
-            rho = sqrt(u)
-            if rho.real <= AXIS_TOLERANCE * big_r:
-                raise AxisSingularityError(
-                    f"position is within {AXIS_TOLERANCE:g} R of the torus axis"
-                )
-            dr = rho - big_r
-            r = sqrt(dr * dr + z * z)
-            # a diverging orbit overflows r, or F(r), while q itself is finite;
-            # any comparison with nan fails
-            flux = flux_of(r) if r.real < math.inf else math.inf
-            if not flux.real < math.inf:
-                raise NonFiniteIterateError(f"field flux overflows at radius {r.real:g} m")
-            w = flux / u
-            pots.append([
-                -b0 * y * w * inv_a0,
-                b0 * x * w * inv_a0,
-                -b0 * big_r * log(rho / big_r) * inv_a0,
-            ])
-            if with_jacobian:
-                # g = f(r)/r stays finite on the magnetic axis circle r = 0
-                g = (1.0 + r * r) / (big_r * (1.0 + a * r))
-                c = (g * dr / rho - 2.0 * w) / u
-                wx = x * c
-                wy = y * c
-                wz = g * z / u
-                scale = s.L0 / s.A0
-                jacs.append([
-                    -b0 * y * wx * scale, -b0 * (w + y * wy) * scale, -b0 * y * wz * scale,
-                    b0 * (w + x * wx) * scale, b0 * x * wy * scale, b0 * x * wz * scale,
-                    -b0 * big_r * x / u * scale, -b0 * big_r * y / u * scale, 0.0,
-                ])
-        if vector:
-            pot = np.array(pots[0])
-            jac = np.array(jacs[0]).reshape(3, 3) if with_jacobian else None
+            out = self._fields(q.T.tolist(), order).T
+        out.setflags(write=False)
+        if with_jacobian:
+            pot, jac = out[:3], out[3:].reshape(3, 3, *out.shape[1:])
         else:
-            pot = np.array(pots).T
-            jac = np.array(jacs).reshape(-1, 3, 3).transpose(1, 2, 0) if with_jacobian else None
-        pot.setflags(write=False)
-        if jac is not None:
-            jac.setflags(write=False)
+            pot, jac = out, None
         self._memo_key, self._memo_pot, self._memo_jac = key, pot, jac
         return pot, jac
+
+    def _fields(self, columns: list, order: int) -> np.ndarray:
+        """`_field` at each [x, y, z] of `columns`, one row per position."""
+        # a comprehension in potential_and_jacobian would make self a closure
+        # cell there, a cost its memo hits would pay on every call
+        return np.array([self._field(x, y, z, order) for x, y, z in columns])
+
+    def _complex_step(self, q: np.ndarray, order: int) -> np.ndarray:
+        """The rows of `_field(order)` for a complex (3, K) batch: values from
+        the float body, run once when every column has the same real part
+        (bytes compared, so signed zeros count) and once per column
+        otherwise, and tangents as first-order products summed in one fixed
+        order per column."""
+        real = q.real.T
+        raw, columns = real.tobytes(), real.tolist()
+        if raw == raw[:24] * len(columns):
+            columns = columns[:1]
+        fields = self._fields(columns, order + 1)
+        # entry 3 + 3 r + l of a field is the derivative of its entry r along q_l
+        rows = 3 + 9 * order
+        slopes = fields[:, 3:3 + 3 * rows].reshape(-1, rows, 3).T * q.imag[:, None, :]
+        out = np.empty((rows, q.shape[1]), dtype=complex)
+        out.real = fields[:, :rows].T
+        out.imag = slopes[0] + slopes[1] + slopes[2]
+        return out
 
     def vector_potential(self, q: np.ndarray) -> np.ndarray:
         return self.potential_and_jacobian(q, with_jacobian=False)[0]
@@ -382,6 +427,16 @@ class TokamakModel(HamiltonianModel):
 
     def grad_p(self, q, p):
         return p - self.vector_potential(q)
+
+    def hessian_blocks(self, q, p):
+        """Closed-form blocks from the float body: with J = dA/dq and
+        d = p - A, H_qq = J^T J - sum_k d_k d^2 A_k / dq^2, H_pp = I and
+        H_pq = -J^T."""
+        field = np.array(self._field(*np.asarray(q, dtype=float).tolist(), 2))
+        jac = field[3:12].reshape(3, 3)
+        d = np.asarray(p, dtype=float) - field[:3]
+        qq = jac.T @ jac - np.tensordot(d, field[12:].reshape(3, 3, 3), axes=1)
+        return qq, np.eye(3), -jac.T
 
 
 def harmonic_oscillator() -> QuadraticModel:

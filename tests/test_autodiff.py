@@ -65,6 +65,24 @@ def test_seeded_vector_validation():
     assert np.array_equal(seen[0][:, 1], [1.0, 2.0 + STEP * 1j])
 
 
+def test_jacobian_seed_carries_the_point_bitwise():
+    # the seed is cached per size; each call still gets its own batch, whose
+    # real parts are x with signed zeros kept
+    x = np.array([-0.0, 0.0, 2.5])
+    seen = []
+
+    def overwrite(z):
+        seen.append(z.copy())
+        z[:] = 7.0
+        return z
+
+    for _ in range(2):
+        jacobian(overwrite, x)
+    for z in seen:
+        assert np.array_equal(np.signbit(z.real), np.signbit(np.broadcast_to(x[:, None], (3, 3))))
+        assert np.array_equal(z, x[:, None] + STEP * 1j * np.eye(3))
+
+
 def test_jacobian_calls_the_map_once():
     calls = []
 

@@ -13,7 +13,7 @@ from sympdefect.defect import (
     swap_coordinates,
     swap_coordinates_inverse,
 )
-from sympdefect.hamiltonians import QuadraticModel, mixed_hessian
+from sympdefect.hamiltonians import PhysicalParams, QuadraticModel, mixed_hessian
 from sympdefect.integrators import Scheme, SchemeConfig, step_p_implicit
 from sympdefect.linalg import symplectic_matrix
 from sympdefect.state import PhaseState
@@ -286,10 +286,8 @@ def quadratic_cases(draw):
     return QuadraticModel(np.reshape(coupling, (n, n))), state, h, m
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(quadratic_cases())
-def test_structure_identities_hold_for_any_coupling(case):
-    model, state, h, m = case
+def _assert_structure_identities(model, state, h, m, swap_bound):
+    """Criteria 1, 2, 6 and 8 at one state, for both SE sides."""
     for scheme in (Scheme.P_IMPLICIT, Scheme.Q_IMPLICIT):
         rep = analyze(model, SchemeConfig(scheme, h, M=m), state)
         scale = np.linalg.norm(rep.structure)
@@ -297,8 +295,38 @@ def test_structure_identities_hold_for_any_coupling(case):
         assert np.linalg.norm(implicit_block) / scale <= 1e-12
         assert rep.skew_residual / scale <= 1e-12
         assert rep.volume_gap / abs(rep.det_antidiag) <= 1e-12
-    assert coordinate_swap_check(model, h, m, state) <= 1e-12
+    assert coordinate_swap_check(model, h, m, state) <= swap_bound
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(quadratic_cases())
+def test_structure_identities_hold_for_any_coupling(case):
+    model, state, h, m = case
+    _assert_structure_identities(model, state, h, m, swap_bound=1e-12)
     j = symplectic_matrix(model.dim)
     for scheme in (Scheme.EXACT_QUADRATIC_P, Scheme.EXACT_QUADRATIC_Q):
         rep = analyze(model, SchemeConfig(scheme, h), state)
         assert np.linalg.norm(rep.structure - j) / np.linalg.norm(rep.structure) <= 1e-12
+
+
+@st.composite
+def tokamak_cases(draw):
+    """An SI position with rho within R +- 1.5 m at any toroidal angle and
+    |z| <= 1.5 m, momentum factors of either sign up to 30, a step and a
+    sweep count."""
+    rho = PhysicalParams().R + draw(st.floats(-1.5, 1.5))
+    angle = draw(st.floats(0.0, 2.0 * np.pi))
+    z = draw(st.floats(-1.5, 1.5))
+    factors = draw(st.lists(st.floats(-30.0, 30.0), min_size=3, max_size=3))
+    h = 10.0 ** draw(st.floats(-2.5, 0.0))
+    m = draw(st.integers(1, 4))
+    return np.array([rho * np.cos(angle), rho * np.sin(angle), z]), np.array(factors), h, m
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(case=tokamak_cases())
+def test_structure_identities_hold_on_any_tokamak_state(tokamak, tokamak_state, case):
+    # momenta are the reference momentum scaled componentwise by the factors
+    position, factors, h, m = case
+    state = PhaseState(position / tokamak.scales.L0, factors * tokamak_state.p)
+    _assert_structure_identities(tokamak, state, h, m, swap_bound=1e-13)

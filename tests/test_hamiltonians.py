@@ -4,11 +4,13 @@ import types
 import numpy as np
 import pytest
 
+from sympdefect import hamiltonians
 from sympdefect.autodiff import STEP, finite_difference_jacobian
 from sympdefect.hamiltonians import (
     AxisSingularityError,
     CharacteristicScales,
     F_integral,
+    HamiltonianModel,
     PhysicalParams,
     QuadraticModel,
     SwappedModel,
@@ -242,6 +244,22 @@ def test_tokamak_hessian_blocks(tokamak, tokamak_state):
     np.testing.assert_allclose(pq.T, fd_qp, atol=1e-10)
 
 
+def test_tokamak_closed_form_hessian_blocks_match_complex_step(tokamak, tokamak_state):
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        q = tokamak_state.q * (1.0 + 0.1 * rng.standard_normal(3))
+        p = tokamak_state.p * 10.0 * rng.standard_normal(3)
+        closed = tokamak.hessian_blocks(q, p)
+        stepped = HamiltonianModel.hessian_blocks(tokamak, q, p)
+        for got, want in zip(closed, stepped):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # the swapped model conjugates the closed-form blocks, with no code of its own
+    qq, pp, pq = SwappedModel(tokamak).hessian_blocks(-p, q)
+    assert np.array_equal(qq, closed[1])
+    assert np.array_equal(pp, closed[0])
+    assert np.array_equal(pq, -closed[2].T)
+
+
 def test_potential_vanishes_on_magnetic_axis_circle(tokamak):
     on_circle = np.array([5.0 / tokamak.scales.L0, 0.0, 0.0])
     assert np.max(np.abs(tokamak.vector_potential(on_circle))) <= 1e-16
@@ -364,3 +382,72 @@ def test_float_path_matches_generic_path(tokamak, tokamak_state):
             pot_c, jac_c = tokamak.potential_and_jacobian(z)
             assert np.array_equal(pot_c.real, pot_f), (q, j)
             assert np.array_equal(jac_c.real, jac_f), (q, j)
+
+
+def test_potential_hessians_against_mpmath_oracle(tokamak):
+    import mpmath
+
+    par, s = tokamak.params, tokamak.scales
+    rng = np.random.default_rng(12)
+    states = []
+    for _ in range(2):
+        # rho within R +- 1.5 m at a random toroidal angle, |z| <= 1.5 m
+        rho, angle = par.R + rng.uniform(-1.5, 1.5), rng.uniform(0, 2 * np.pi)
+        z = rng.uniform(-1.5, 1.5)
+        states.append(np.array([rho * np.cos(angle), rho * np.sin(angle), z]) / s.L0)
+    # exactly on the magnetic axis circle, r = 0 in the float body
+    on_circle = np.array([par.R / s.L0, 0.0, 0.0])
+    assert on_circle[0] * s.L0 == par.R
+    states.append(on_circle)
+    with mpmath.workdps(50):
+        big_r, shaping, b0 = mpmath.mpf(par.R), mpmath.mpf(par.a), mpmath.mpf(par.B0)
+        length, a0 = mpmath.mpf(s.L0), mpmath.mpf(s.A0)
+
+        def flux(r):
+            return mpmath.quad(lambda t: (t + t**3) / (big_r * (1 + shaping * t)), [0, r])
+
+        cache = {}
+
+        def potential(x, y, z):
+            key = (x, y, z)
+            if key not in cache:
+                x, y, z = x * length, y * length, z * length
+                u = x * x + y * y
+                rho = mpmath.sqrt(u)
+                w = flux(mpmath.sqrt((rho - big_r) ** 2 + z * z)) / u
+                log = mpmath.log(rho / big_r)
+                cache[key] = (-b0 * y * w / a0, b0 * x * w / a0, -b0 * big_r * log / a0)
+            return cache[key]
+
+        for q in states:
+            point = [mpmath.mpf(float(v)) for v in q]
+            exact = np.empty((3, 3, 3))
+            for j in range(3):
+                for m in range(j, 3):
+                    order = [0, 0, 0]
+                    order[j] += 1
+                    order[m] += 1
+                    for i in range(3):
+                        value = float(mpmath.diff(lambda *v: potential(*v)[i], point, order))
+                        exact[i, j, m] = exact[i, m, j] = value
+            # the float body's last 27 entries are d^2 A_i / dq_j dq_l
+            got = np.array(tokamak._field(*q.tolist(), 2)[12:]).reshape(3, 3, 3)
+            assert np.max(np.abs(got - exact)) <= 1e-13 * np.max(np.abs(exact)), q
+
+
+def test_complex_step_pass_evaluates_the_field_once_per_distinct_column(monkeypatch, tokamak_state):
+    calls = []
+
+    def counting(r, params):
+        calls.append(r)
+        return F_integral(r, params)
+
+    monkeypatch.setattr(hamiltonians, "F_integral", counting)
+    shared = tokamak_state.q[:, None] + STEP * 1j * np.eye(3, 6)
+    for with_jacobian in (True, False):
+        calls.clear()
+        TokamakModel().potential_and_jacobian(shared, with_jacobian)
+        assert len(calls) == 1
+    calls.clear()
+    TokamakModel().potential_and_jacobian(shared + 1e-3 * np.arange(6))
+    assert len(calls) == 6
