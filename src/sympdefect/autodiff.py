@@ -1,8 +1,9 @@
 """Forward-mode differentiation by complex steps.
 
 :func:`jacobian` runs a vector map once, on the n-column batch whose
-column j is x + i STEP e_j (a cached read-only seed plus x), and reads
-column j of the Jacobian from the imaginary parts of output column j.
+column j is x + i STEP e_j (a cached read-only seed plus x), or on K
+copies of it side by side, and reads column j of the Jacobian from the
+imaginary parts of output column j.
 STEP is so small that its square underflows to zero, so complex
 arithmetic on these inputs is dual-number arithmetic: real parts are the
 float computation, imaginary parts its first-order tangents, and
@@ -17,6 +18,7 @@ closed-form derivatives.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -64,12 +66,15 @@ def _seed(n: int) -> np.ndarray:
     return seed
 
 
-def jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
+def jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, copies: int | None = None) -> np.ndarray:
     """Jacobian of a vector map at x, from one complex-step pass over all inputs.
 
     `fn` receives the complex (n, n) batch whose column j seeds input j,
     and must return an (m, n) array whose column j is the map at column j
     of its input; entries with zero imaginary part are constant components.
+    With `copies` = K it receives K such batches side by side, (n, K n), and
+    returns the (K, m, n) stack of their Jacobians; the map may give copy k
+    its own parameters (a step size), so one pass covers K settings.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
@@ -77,16 +82,17 @@ def jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarra
     if not np.all(np.isfinite(x)):
         raise NonFiniteError("seed point has non-finite entries")
     n = x.size
-    out = np.asarray(fn(_seed(n) + x[:, None]), dtype=complex)
-    if out.ndim != 2 or out.shape[1] != n:
-        raise ValueError(f"map must return one column per input ({n}), got shape {out.shape}")
+    seed = _seed(n) if copies is None else np.tile(_seed(n), copies)
+    out = np.asarray(fn(seed + x[:, None]), dtype=complex)
+    if out.ndim != 2 or out.shape[1] != seed.shape[1]:
+        raise ValueError(f"map must return one column per input ({seed.shape[1]}), got shape {out.shape}")
     with np.errstate(over="ignore"):
         jac = out.imag / STEP
     bad = ~(np.isfinite(out) & np.isfinite(jac))
     if bad.any():
         i = int(np.argmax(bad.any(axis=1)))
         raise NonFiniteError(f"non-finite value or derivative in output component {i}")
-    return jac
+    return jac if copies is None else jac.reshape(-1, copies, n).swapaxes(0, 1)
 
 
 def finite_difference_jacobian(
@@ -99,8 +105,8 @@ def finite_difference_jacobian(
     The per-component increment is step * max(1, |x_j|).  Used as an
     independent cross-check of :func:`jacobian`, never as the primary route.
     """
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be positive and finite, got {step}")
     x = np.asarray(x, dtype=float)
     cols = []
     for j in range(x.size):

@@ -36,12 +36,16 @@ def swap_coordinates_inverse(state: PhaseState) -> PhaseState:
     return PhaseState(state.p, -state.q)
 
 
-def flow_map(model, config: SchemeConfig):
+def flow_map(model, config: SchemeConfig, h=None):
     """The configured one-step map as a function of the flat state vector
-    (2N,), or of a (2N, K) batch of them, one state per column."""
+    (2N,), or of a (2N, K) batch of them, one state per column.  A step
+    size h, a float or one per column (shape (K,)), replaces config.h."""
 
     def apply(z: np.ndarray) -> np.ndarray:
-        return one_step(model, config, PhaseState.from_vector(z)).to_vector()
+        state = PhaseState.from_vector(z)
+        if h is None:
+            return one_step(model, config, state).to_vector()
+        return config.scheme.step(model, state, config, h).to_vector()
 
     return apply
 

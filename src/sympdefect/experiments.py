@@ -19,7 +19,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .defect import DefectReport, defect_report, flow_jacobian_ad
+from .autodiff import jacobian
+from .defect import DefectReport, defect_report, flow_map
 from .integrators import Scheme, SchemeConfig, one_step, orbit
 from .state import PhaseState
 
@@ -100,22 +101,40 @@ class DefectSweep:
     fits: dict[tuple[str, int | None], FitResult | None]
 
 
+def _grid_pass(model, configs: list[SchemeConfig], state: PhaseState) -> np.ndarray:
+    """The (K, 2N, 2N) AD flow Jacobians at K configs that differ in h only,
+    from one complex-step pass whose seed copy k steps with configs[k].h."""
+    z = state.to_vector()
+    h = np.repeat([c.h for c in configs], z.size)
+    return jacobian(flow_map(model, configs[0], h), z, copies=len(configs))
+
+
 def grid_report(model, configs: list[SchemeConfig], state: PhaseState, jobs: int = 1) -> DefectReport:
     """The AD flow Jacobians at a non-empty grid of configs of one scheme,
-    decomposed in one `defect_report` call; `jobs` > 1 maps the Jacobians
-    over a process pool."""
+    decomposed in one `defect_report` call, one row per config in order.
+    Configs with the same sweep counts share one complex-step pass, one h
+    per seed copy; `jobs` > 1 maps the passes over a process pool."""
     if not configs:
         raise ValueError("the grid has no points")
-    columns = (repeat(model), configs, repeat(state))
+    scheme = configs[0].scheme
+    if any(c.scheme is not scheme for c in configs):
+        raise ValueError(f"a grid takes one scheme, got {sorted({c.scheme.value for c in configs})}")
+    groups: dict[tuple, list[int]] = {}
+    for i, c in enumerate(configs):
+        groups.setdefault(tuple(getattr(c, name) for name in scheme.counts), []).append(i)
+    columns = (repeat(model), ([configs[i] for i in rows] for rows in groups.values()), repeat(state))
     if jobs > 1:
         # imported here, since loading the process pool costs every import about 1 MB
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            dflows = list(pool.map(flow_jacobian_ad, *columns))
+            stacks = list(pool.map(_grid_pass, *columns))
     else:
-        dflows = list(map(flow_jacobian_ad, *columns))
-    return defect_report(np.array(dflows), configs[0].scheme.explicit_side)
+        stacks = list(map(_grid_pass, *columns))
+    dflows = np.empty((len(configs), *stacks[0].shape[1:]))
+    for rows, stack in zip(groups.values(), stacks):
+        dflows[rows] = stack
+    return defect_report(dflows, scheme.explicit_side)
 
 
 def defect_sweep(

@@ -22,7 +22,8 @@ body, which returns A, dA/dq and, on request, the Hessians of A.  A
 complex step runs it on the real part, once per distinct real column, and
 takes its tangents from those derivatives (tangent-linear mode with the
 whole potential as one elemental function), so a complex-step pass costs
-one field evaluation and its real parts are the float step's bitwise.
+one field evaluation per distinct position (one per step size in a grid
+pass) and its real parts are the float step's bitwise.
 """
 
 from __future__ import annotations
@@ -356,8 +357,8 @@ class TokamakModel(HamiltonianModel):
 
         Float positions run the float body `_field` once per column.  A
         complex position x + i t is a complex step: its real part runs the
-        float body, once per distinct real column (in a complex-step pass
-        every column shares one), and the tangents are the exact first-order
+        float body, once per distinct real column (one per state and step
+        size of a complex-step pass), and the tangents are the exact first-order
         products dA/dq t and (d^2 A/dq^2) t, each summed in one fixed order
         per column.  Real parts are therefore bitwise the float step's.  For
         a batch q of shape (3, K), A has shape (3, K) and dA/dq shape
@@ -396,15 +397,18 @@ class TokamakModel(HamiltonianModel):
 
     def _complex_step(self, q: np.ndarray, order: int) -> np.ndarray:
         """The rows of `_field(order)` for a complex (3, K) batch: values from
-        the float body, run once when every column has the same real part
-        (bytes compared, so signed zeros count) and once per column
-        otherwise, and tangents as first-order products summed in one fixed
-        order per column."""
+        the float body, run once per distinct real column (bytes compared,
+        so signed zeros count), and tangents as first-order products summed
+        in one fixed order per column."""
         real = q.real.T
         raw, columns = real.tobytes(), real.tolist()
-        if raw == raw[:24] * len(columns):
-            columns = columns[:1]
-        fields = self._fields(columns, order + 1)
+        if raw == raw[:24] * len(columns):  # one state's pass: its row broadcasts
+            fields = self._fields(columns[:1], order + 1)
+        else:
+            slots: dict[bytes, int] = {}
+            index = [slots.setdefault(raw[k:k + 24], len(slots)) for k in range(0, len(raw), 24)]
+            distinct = np.frombuffer(b"".join(slots)).reshape(-1, 3).tolist()
+            fields = self._fields(distinct, order + 1)[index]
         # entry 3 + 3 r + l of a field is the derivative of its entry r along q_l
         rows = 3 + 9 * order
         slopes = fields[:, 3:3 + 3 * rows].reshape(-1, rows, 3).T * q.imag[:, None, :]
@@ -417,7 +421,8 @@ class TokamakModel(HamiltonianModel):
         return self.potential_and_jacobian(q, with_jacobian=False)[0]
 
     def value(self, q, p):
-        d = p - self.vector_potential(q)
+        # the memo entry with dA/dq, which the next step's gradient here reads
+        d = p - self.potential_and_jacobian(q)[0]
         return 0.5 * (d @ d)
 
     def grad_q(self, q, p):

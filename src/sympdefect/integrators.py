@@ -8,7 +8,8 @@ of half steps give the Stoermer-Verlet variants; the literal single-pass
 forms are kept alongside as references.  Each `Scheme` member declares
 its sweep counts, implicit side and step once; other modules read them.
 Every step also takes a batch of states (q and p of shape (N, K)) and
-steps each column as it would step that state alone.
+steps each column as it would step that state alone, with a float step
+size h or one per column, h of shape (K,).
 """
 
 from __future__ import annotations
@@ -39,22 +40,24 @@ class Scheme(str, Enum):
     ignored).  The implicit side, "p" or "q", is the variable the map
     solves for, a composition's that of its second half; `explicit_side`
     is the other, whose diagonal block of J~ carries the defect.
-    `step(model, state, config)` looks its step function up by name at
-    call time, so a patched module attribute (a tracer) takes effect.
+    `step(model, state, config, h)` steps with the counts of `config` and
+    step size h, a float or one per batch column (`one_step` passes
+    config.h).  It looks its step function up by name at call time, so a
+    patched module attribute (a tracer) takes effect.
     """
 
-    P_IMPLICIT = "p-implicit", ("M",), "p", lambda f, z, c: step_p_implicit(f, z, c.h, c.M)
-    Q_IMPLICIT = "q-implicit", ("M",), "q", lambda f, z, c: step_q_implicit(f, z, c.h, c.M)
-    SV_PQ = "sv-pq", ("M1", "M2"), "q", lambda f, z, c: step_sv_pq(f, z, c.h, c.M1, c.M2)
-    SV_QP = "sv-qp", ("M1", "M2"), "p", lambda f, z, c: step_sv_qp(f, z, c.h, c.M1, c.M2)
+    P_IMPLICIT = "p-implicit", ("M",), "p", lambda f, z, c, h: step_p_implicit(f, z, h, c.M)
+    Q_IMPLICIT = "q-implicit", ("M",), "q", lambda f, z, c, h: step_q_implicit(f, z, h, c.M)
+    SV_PQ = "sv-pq", ("M1", "M2"), "q", lambda f, z, c, h: step_sv_pq(f, z, h, c.M1, c.M2)
+    SV_QP = "sv-qp", ("M1", "M2"), "p", lambda f, z, c, h: step_sv_qp(f, z, h, c.M1, c.M2)
     LINEAR_IMPLICIT_EM = (
-        "linear-implicit-em", (), "p", lambda f, z, c: step_linear_implicit_em(f, z, c.h)
+        "linear-implicit-em", (), "p", lambda f, z, c, h: step_linear_implicit_em(f, z, h)
     )
     EXACT_QUADRATIC_P = (
-        "exact-quadratic-p", (), "p", lambda f, z, c: exact_se_quadratic(f, z, c.h, "p")
+        "exact-quadratic-p", (), "p", lambda f, z, c, h: exact_se_quadratic(f, z, h, "p")
     )
     EXACT_QUADRATIC_Q = (
-        "exact-quadratic-q", (), "q", lambda f, z, c: exact_se_quadratic(f, z, c.h, "q")
+        "exact-quadratic-q", (), "q", lambda f, z, c, h: exact_se_quadratic(f, z, h, "q")
     )
 
     def __new__(cls, value: str, counts: tuple[str, ...], implicit_side: str, step):
@@ -99,8 +102,10 @@ def _require_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
-def _check_step(h: float) -> None:
-    if not (math.isfinite(h) and h >= 0):
+def _check_step(h) -> None:
+    """h is a float, or a (K,) array with one step size per batch column."""
+    ok = (np.isfinite(h) & (h >= 0)).all() if isinstance(h, np.ndarray) else math.isfinite(h) and h >= 0
+    if not ok:
         raise ValueError(f"step size must be non-negative and finite, got {h}")
 
 
@@ -227,7 +232,7 @@ def step_linear_implicit_em(model, state: PhaseState, h: float) -> PhaseState:
         raise TypeError("model does not expose a vector potential with Jacobian")
     q, p = state.q, state.p
     pot, jac = model.potential_and_jacobian(q)
-    lhs = np.eye(model.dim) - h * jac.T
+    lhs = np.eye(model.dim) - (h * jac).T
     rhs = p - h * transposed_product(jac, pot)
     pt = solve(lhs, rhs)
     _check_finite(pt, "updated momentum")
@@ -254,10 +259,10 @@ def exact_se_quadratic(model, state: PhaseState, h: float, variant: str = "p") -
     q, p = state.q, state.p
     eye = np.eye(state.dim)
     if variant == "p":
-        pt = solve(eye + h * coupling, p - h * q)
+        pt = solve(eye + np.multiply.outer(h, coupling), p - h * q)
         qt = q + h * (pt + coupling.T @ q)
     else:
-        qt = solve(eye - h * coupling.T, q + h * p)
+        qt = solve(eye - np.multiply.outer(h, coupling.T), q + h * p)
         pt = p - h * (qt + coupling @ p)
     _check_finite(pt, "updated momentum")
     _check_finite(qt, "updated position")
@@ -266,7 +271,7 @@ def exact_se_quadratic(model, state: PhaseState, h: float, variant: str = "p") -
 
 def one_step(model, config: SchemeConfig, state: PhaseState) -> PhaseState:
     """Apply the configured scheme once."""
-    return config.scheme.step(model, state, config)
+    return config.scheme.step(model, state, config, config.h)
 
 
 @dataclass

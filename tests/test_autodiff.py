@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -126,6 +127,24 @@ def test_jacobian_of_truncated_euler_step():
     assert np.array_equal(got, [[1.0 - h * h, h], [-h, 1.0]])
 
 
+def test_jacobian_copies_stack_one_jacobian_per_copy():
+    # copy k of the seed batch steps with its own h, as a grid pass does
+    hs = np.array([0.1, 0.2, 0.05])
+
+    def step(z, h):
+        q, p = z[0], z[1]
+        pt = p - h * q * q
+        return [q + h * pt, pt]
+
+    x = np.array([0.7, -0.3])
+    got = jacobian(lambda z: step(z, np.repeat(hs, 2)), x, copies=3)
+    assert got.shape == (3, 2, 2)
+    for k, h in enumerate(hs):
+        assert np.array_equal(got[k], jacobian(lambda z: step(z, h), x))
+    with pytest.raises(ValueError, match=r"one column per input \(6\)"):
+        jacobian(lambda z: z[:, :2], x, copies=3)
+
+
 def test_jacobian_constant_component_gives_zero_row():
     got = jacobian(lambda z: [z[0], np.full(z.shape[1], 5.0)], np.array([1.0, 2.0]))
     assert np.array_equal(got, [[1.0, 0.0], [0.0, 0.0]])
@@ -185,5 +204,9 @@ def test_finite_difference_agrees_with_forward_mode():
 
 
 def test_finite_difference_rejects_bad_step():
-    with pytest.raises(ValueError):
-        finite_difference_jacobian(lambda z: z, np.ones(2), step=0.0)
+    # nan and inf are refused up front, with no numpy warning on the way
+    for step in (0.0, -1e-6, math.nan, math.inf):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="step must be positive and finite"):
+                finite_difference_jacobian(lambda z: z, np.ones(2), step=step)

@@ -4,6 +4,8 @@ import sys
 import numpy as np
 import pytest
 
+from sympdefect import experiments
+from sympdefect.autodiff import jacobian
 from sympdefect.defect import analyze
 from sympdefect.experiments import (
     classify_drift,
@@ -11,6 +13,7 @@ from sympdefect.experiments import (
     defect_sweep,
     energy_drift_run,
     estimate_drift,
+    grid_report,
     loglog_fit,
     step_energy_defect,
     sv_block_orders,
@@ -113,6 +116,35 @@ def test_sweep_rows_are_per_point_reports(request, name):
             assert row == {"h": row["h"], **rep.deviations}
     with pytest.raises(ValueError, match="no points"):
         defect_sweep(model, Scheme.P_IMPLICIT, [], grid, state)
+
+
+def test_grid_report_rejects_a_grid_that_mixes_schemes(tokamak, tokamak_state):
+    configs = [SchemeConfig(Scheme.P_IMPLICIT, 0.1, M=1), SchemeConfig(Scheme.Q_IMPLICIT, 0.1, M=1)]
+    with pytest.raises(ValueError, match="one scheme"):
+        grid_report(tokamak, configs, tokamak_state)
+
+
+def test_grid_report_runs_one_pass_per_count_group(monkeypatch, tokamak, tokamak_state):
+    passes = []
+
+    def counting(fn, x, copies=None):
+        passes.append(copies)
+        return jacobian(fn, x, copies)
+
+    monkeypatch.setattr(experiments, "jacobian", counting)
+    grid = default_h_grid()
+    sv_block_orders(tokamak, Scheme.SV_PQ, 1, 3, grid, tokamak_state)
+    assert passes == [10]
+    passes.clear()
+    defect_sweep(tokamak, Scheme.Q_IMPLICIT, [1, 2, 3], grid, tokamak_state)
+    assert passes == [10, 10, 10]
+    # the rows follow the configs, whatever order their counts come in
+    configs = [SchemeConfig(Scheme.Q_IMPLICIT, h, M=m) for h, m in ((0.1, 2), (0.05, 1), (0.2, 2))]
+    passes.clear()
+    report = grid_report(tokamak, configs, tokamak_state)
+    assert passes == [2, 1]
+    for row, config in zip(report.structure, configs):
+        assert np.array_equal(row, analyze(tokamak, config, tokamak_state).structure)
 
 
 def test_defect_sweep_of_exact_map_has_no_fittable_signal(quad3, quad3_state):

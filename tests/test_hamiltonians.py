@@ -23,6 +23,7 @@ from sympdefect.hamiltonians import (
     reference_initial_state_si,
     safety_factor,
 )
+from sympdefect.integrators import SchemeConfig, integrate, one_step
 from sympdefect.state import NonFiniteIterateError, PhaseState
 
 
@@ -451,3 +452,36 @@ def test_complex_step_pass_evaluates_the_field_once_per_distinct_column(monkeypa
     calls.clear()
     TokamakModel().potential_and_jacobian(shared + 1e-3 * np.arange(6))
     assert len(calls) == 6
+    # a grid pass: columns that alternate between two real parts
+    two = tokamak_state.q[:, None] + 1e-3 * (np.arange(12) % 2) + STEP * 1j * np.eye(3, 12)
+    calls.clear()
+    pot, jac = TokamakModel().potential_and_jacobian(two)
+    assert len(calls) == 2
+    for c in range(12):
+        alone = TokamakModel().potential_and_jacobian(two[:, c:c + 1])
+        assert np.array_equal(pot[:, c:c + 1], alone[0]) and np.array_equal(jac[..., c:c + 1], alone[1])
+
+
+@pytest.mark.parametrize(
+    "scheme, m, calls_per_step",
+    [("p-implicit", 3, 1.0), ("linear-implicit-em", None, 1.0), ("q-implicit", 3, 3.0)],
+)
+def test_sampled_energy_leaves_the_next_step_a_memo_hit(
+    scheme, m, calls_per_step, monkeypatch, tokamak_state
+):
+    # the energy at a sampled position memoises A with dA/dq, which the
+    # next step's gradient there needs, so stride 1 costs no extra field
+    calls = []
+
+    def counting(r, params):
+        calls.append(r)
+        return F_integral(r, params)
+
+    monkeypatch.setattr(hamiltonians, "F_integral", counting)
+    traj = integrate(TokamakModel(), SchemeConfig(scheme, 0.25, M=m), tokamak_state, 200, 1)
+    # one more for the energy at step 0
+    assert len(calls) == 200 * calls_per_step + 1
+    # the energy is that of A alone, bitwise
+    for row, energy in zip(traj.states, traj.energies):
+        d = row[3:] - TokamakModel().vector_potential(row[:3])
+        assert energy == 0.5 * (d @ d)

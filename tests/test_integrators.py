@@ -26,6 +26,7 @@ from sympdefect.integrators import (
     step_sv_qp,
     step_sv_qp_direct,
     _check_finite,
+    _check_step,
 )
 from sympdefect.state import PhaseState
 
@@ -92,6 +93,17 @@ def test_zero_step_identity_for_linear_implicit(tokamak, tokamak_state):
 def test_steps_reject_negative_step_size(quad3, quad3_state):
     with pytest.raises(ValueError):
         step_p_implicit(quad3, quad3_state, -0.1, 1)
+
+
+@pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf, -math.inf])
+def test_step_size_array_rejects_any_bad_entry(bad, quad3):
+    batch = PhaseState(np.full((3, 3), 0.3), np.full((3, 3), -0.2))
+    h = np.array([0.1, bad, 0.05])
+    with pytest.raises(ValueError, match="step size must be non-negative and finite"):
+        _check_step(h)
+    with pytest.raises(ValueError, match="step size must be non-negative and finite"):
+        step_p_implicit(quad3, batch, h, 1)
+    _check_step(np.array([0.1, 0.0, 0.05]))
 
 
 def test_sweep_count_is_irrelevant_when_gradient_is_explicit(oscillator, oscillator_state):
@@ -436,6 +448,33 @@ def test_batched_step_equals_separate_steps(model_name, scheme, tokamak, tokamak
             np.testing.assert_allclose(got, want, rtol=QUADRATIC_BATCH_RTOL, atol=0.0)
         else:
             assert np.array_equal(got, want), c
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_per_column_step_sizes_equal_separate_steps(scheme, tokamak, tokamak_state, oscillator):
+    # one step size per batch column, as a grid's complex-step pass takes them
+    rng = np.random.default_rng(18)
+    k = 5
+    h = np.geomspace(0.02, 0.2, k)
+    config = SchemeConfig(scheme, 0.1, M=2, M1=1, M2=3)
+    models = [("quadratic", quadratic_model(3)), ("oscillator", oscillator), ("tokamak", tokamak)]
+    for name, model in models:
+        if scheme is Scheme.LINEAR_IMPLICIT_EM and name != "tokamak":
+            continue
+        if scheme in (Scheme.EXACT_QUADRATIC_P, Scheme.EXACT_QUADRATIC_Q) and name == "tokamak":
+            continue
+        if name == "tokamak":
+            q = tokamak_state.q[:, None] + 1e-3 * rng.standard_normal((3, k))
+            p = tokamak_state.p[:, None] * (1.0 + 0.05 * rng.standard_normal((3, k)))
+        else:
+            q, p = 0.5 * rng.standard_normal((2, model.dim, k))
+        tangents = STEP * 1j * rng.standard_normal((2, model.dim, k))
+        for bq, bp in ((q, p), (q + tangents[0], p + tangents[1])):
+            batched = scheme.step(model, PhaseState(bq, bp), config, h).to_vector()
+            for c in range(k):
+                single = PhaseState(bq[:, c].copy(), bp[:, c].copy())
+                want = scheme.step(model, single, config, float(h[c])).to_vector()
+                assert np.array_equal(batched[:, c], want), (name, bq.dtype, c)
 
 
 @pytest.mark.parametrize(
