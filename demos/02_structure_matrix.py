@@ -32,7 +32,7 @@ np.set_printoptions(precision=3, suppress=False, linewidth=120)
 print("J-tilde = (DPhi)^T J (DPhi):\n")
 print(report.structure, "\n")
 
-print(f"zero diagonal block (q side):    {report.diag_q_norm:.3e}  (round-off)")
+print(f"zero diagonal block (q side):    {report.deviations['P11']:.3e}  (round-off)")
 print(f"defect diagonal block (p side):  delta = {report.delta:.3e}")
 print(f"antidiagonal deviation from I:   alpha = {report.alpha:.3e}")
 print(f"skew-symmetry residual:          {report.skew_residual:.3e}")

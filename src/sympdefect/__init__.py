@@ -2,7 +2,6 @@
 fixed-point-iterated symplectic Euler and Stoermer-Verlet maps."""
 
 from .autodiff import (
-    CustomPrimitive,
     NonFiniteError,
     finite_difference_jacobian,
     jacobian,
@@ -70,7 +69,6 @@ from .integrators import (
     step_sv_qp_direct,
 )
 from .linalg import (
-    determinant,
     frobenius_norm,
     solve,
     symplectic_matrix,

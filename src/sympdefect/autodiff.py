@@ -7,19 +7,18 @@ imaginary parts of output column j.
 STEP is so small that its square underflows to zero, so complex
 arithmetic on these inputs is dual-number arithmetic: real parts are the
 float computation, imaginary parts its first-order tangents, and
-truncated iterations are differentiated exactly as executed.  Model code needs no number type of its own, only operations
-that act column by column on a trailing batch axis and primitives that
-accept complex input (``cmath``, or a :class:`CustomPrimitive`).  A model
-may also take a whole evaluation as one elemental function, as the
-tokamak potential does: real parts from its float body, tangents from its
-closed-form derivatives.
+truncated iterations are differentiated exactly as executed.  Model code
+needs no number type of its own, only operations that act column by
+column on a trailing batch axis and primitives that accept complex input
+(``cmath``).  A model may also take a whole evaluation as one elemental
+function, as the tokamak potential does: real parts from its float body,
+tangents from its closed-form derivatives.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -33,26 +32,6 @@ STEP = 2.0**-600
 
 class NonFiniteError(ValueError):
     """A NaN or Inf appeared in a value or derivative."""
-
-
-@dataclass
-class CustomPrimitive:
-    """Scalar function with a registered derivative.
-
-    `evaluate` maps float -> float and may run arbitrary code (e.g. a
-    branched closed form with a series loop); `derivative` supplies
-    d(evaluate)/dx directly, so that code is never differentiated.  A
-    complex step x + i t maps to evaluate(x) + i derivative(x) t.
-    """
-
-    evaluate: Callable[[float], float]
-    derivative: Callable[[float], float]
-    name: str = field(default="primitive")
-
-    def __call__(self, x):
-        if isinstance(x, complex):
-            return complex(self.evaluate(x.real), self.derivative(x.real) * x.imag)
-        return self.evaluate(x)
 
 
 @functools.lru_cache(maxsize=128)

@@ -88,7 +88,7 @@ def closed_form_cases(n_values=(2, 3, 5), m_values=(1, 2, 3), h_values=(0.1, 0.0
 def criterion_01():
     """The implicit side's diagonal block of J-tilde vanishes."""
     worst = max(
-        max(r.diag_p_norm if r.delta_block == "q" else r.diag_q_norm) for r in _structure_reports()
+        max(r.deviations["P22" if r.delta_block == "q" else "P11"]) for r in _structure_reports()
     )
     return (worst <= 1e-12,
             f"implicit-side diagonal block norm <= 1e-12, worst {worst:.3e}")

@@ -166,17 +166,19 @@ def _scheme_config(cfg: argparse.Namespace, scheme: Scheme, h: float) -> SchemeC
     return SchemeConfig(scheme, h, **{c: counts[c] for c in scheme.counts})
 
 
-# the schemes that run on one model only
+# the schemes that run on one kind of model only; the oscillator is a
+# quadratic model with its own coupling
 _SCHEME_MODEL = {
     Scheme.LINEAR_IMPLICIT_EM: "tokamak",
     Scheme.EXACT_QUADRATIC_P: "quadratic",
     Scheme.EXACT_QUADRATIC_Q: "quadratic",
 }
+_MODEL_KIND = {"tokamak": "tokamak", "quadratic": "quadratic", "harmonic": "quadratic"}
 
 
 def _check_scheme_model(cfg: argparse.Namespace, scheme: Scheme) -> None:
     needed = _SCHEME_MODEL.get(scheme)
-    if needed is not None and cfg.hamiltonian != needed:
+    if needed is not None and _MODEL_KIND[cfg.hamiltonian] != needed:
         raise ConfigError(f"{scheme.value} needs the {needed} model")
 
 

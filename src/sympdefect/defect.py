@@ -21,9 +21,7 @@ import numpy as np
 from . import linalg
 from .autodiff import finite_difference_jacobian, jacobian
 from .hamiltonians import SwappedModel
-from .integrators import (
-    Scheme, SchemeConfig, momentum_iterates, one_step, step_p_implicit, step_q_implicit,
-)
+from .integrators import Scheme, SchemeConfig, momentum_iterates, step_p_implicit, step_q_implicit
 from .state import PhaseState
 
 
@@ -40,12 +38,10 @@ def flow_map(model, config: SchemeConfig, h=None):
     """The configured one-step map as a function of the flat state vector
     (2N,), or of a (2N, K) batch of them, one state per column.  A step
     size h, a float or one per column (shape (K,)), replaces config.h."""
+    step = config.h if h is None else h
 
     def apply(z: np.ndarray) -> np.ndarray:
-        state = PhaseState.from_vector(z)
-        if h is None:
-            return one_step(model, config, state).to_vector()
-        return config.scheme.step(model, state, config, h).to_vector()
+        return config.scheme.step(model, PhaseState.from_vector(z), config, step).to_vector()
 
     return apply
 
@@ -138,14 +134,6 @@ class DefectReport:
     skew_residual: float
     det_flow: float
     det_antidiag: float
-
-    @property
-    def diag_q_norm(self) -> float:
-        return self.deviations["P11"]
-
-    @property
-    def diag_p_norm(self) -> float:
-        return self.deviations["P22"]
 
     @property
     def volume_gap(self) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .autodiff import jacobian
 from .defect import DefectReport, defect_report, flow_map
-from .integrators import Scheme, SchemeConfig, one_step, orbit
+from .integrators import Scheme, SchemeConfig, _require_count, one_step, orbit
 from .state import PhaseState
 
 MEASUREMENT_FLOOR = 1e-13
@@ -334,8 +334,8 @@ def energy_drift_run(
     A sampled error above BLOW_UP_FACTOR * |H(z_0)| stops that run early
     and flags it.
     """
-    if steps < 1 or stride < 1:
-        raise ValueError("steps and stride must be positive")
+    _require_count("steps", steps)
+    _require_count("stride", stride)
     e0 = model.energy(state)
     threshold = BLOW_UP_FACTOR * max(abs(e0), np.finfo(float).tiny)
     out = []

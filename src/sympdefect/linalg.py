@@ -2,15 +2,15 @@
 
 Only what numpy does not already say in one call lives here: the checked
 solve, the transposed matrix-vector product, a real matrix applied to a
-complex step in real arithmetic, the canonical structure matrix, and norms
-and determinants that refuse non-finite input.
+complex step in real arithmetic, the canonical structure matrix, and a
+Frobenius norm.
 :func:`solve` also takes the complex steps of :mod:`sympdefect.autodiff`,
 so flows that solve a linear system can be differentiated with no solve
 rule of their own.  :func:`solve` and :func:`transposed_product` also
 take one matrix per column of a batch (see :class:`sympdefect.PhaseState`)
 and give each column what the unbatched call gives it;
-:func:`frobenius_norm` and :func:`determinant` take a stack (K, n, n) and
-give each matrix, bitwise, what the call on that matrix alone gives it.
+:func:`frobenius_norm` takes a stack (K, n, n) and gives each matrix,
+bitwise, what the call on that matrix alone gives it.
 """
 
 from __future__ import annotations
@@ -107,11 +107,3 @@ def frobenius_norm(a: np.ndarray):
     a = np.asarray(a, dtype=float)
     flat = a.reshape(*a.shape[:-2], 1, -1)
     return np.sqrt((flat @ flat.swapaxes(-1, -2)).reshape(a.shape[:-2]))
-
-
-def determinant(a: np.ndarray):
-    """Determinant of a float matrix or of each of a (K, n, n) stack (LU);
-    numpy refuses a non-square one."""
-    a = np.asarray(a, dtype=float)
-    _require_finite(a)
-    return np.linalg.det(a)

@@ -9,8 +9,8 @@ sweeps collapse to single powers of the coupling matrix:
 
 with C the coupling matrix from :func:`sympdefect.hamiltonians.mixed_hessian`.
 :func:`coupling_power` returns C^M itself, an int64 Toeplitz matrix computed
-in exact integer arithmetic and cached read-only per (n, M), giving an
-independent oracle for the AD route.  :func:`check_case` states the (n, M)
+in exact integer arithmetic and cached read-only per (n, M) by
+``functools.lru_cache``, giving an independent oracle for the AD route.  :func:`check_case` states the (n, M)
 range where that arithmetic stays exact.
 """
 
@@ -57,6 +57,7 @@ def check_case(n: int, m: int) -> None:
         )
 
 
+@functools.lru_cache(maxsize=128)
 def coupling_power(n: int, m: int) -> np.ndarray:
     """C^m of the n x n coupling matrix in exact int64 arithmetic, read-only.
 
@@ -73,13 +74,6 @@ def coupling_power(n: int, m: int) -> np.ndarray:
     Each checked power is cached per (n, m), so every later call returns
     the same read-only array.
     """
-    # a plain function over the cache: bench/layers.py times plain
-    # functions only, so quadratic_oracle.coupling_power.us_p50 stays measured
-    return _checked_power(n, m)
-
-
-@functools.lru_cache(maxsize=128)
-def _checked_power(n: int, m: int) -> np.ndarray:
     top = max_power(n)
     if not 0 <= m <= top:
         raise OracleRangeError(

@@ -54,6 +54,3 @@ class PhaseState:
             raise ValueError("state vector must have even length 2N, shape (2N,) or (2N, K)")
         n = z.shape[0] // 2
         return cls(z[:n], z[n:])
-
-    def copy(self) -> "PhaseState":
-        return PhaseState(self.q.copy(), self.p.copy())

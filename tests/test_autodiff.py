@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from sympdefect.autodiff import (
     STEP,
-    CustomPrimitive,
     NonFiniteError,
     finite_difference_jacobian,
     jacobian,
@@ -159,20 +158,6 @@ def test_jacobian_rejects_non_finite_output():
         jacobian(lambda z: [z[0], [complex(v.real, math.inf) for v in z[0]]], np.array([1.0]))
     with pytest.raises(NonFiniteError, match="component 0"):
         jacobian(lambda z: z * 1e200 * 1e200, np.array([1e-300]))
-
-
-def test_custom_primitive_supplies_registered_derivative():
-    sine = CustomPrimitive(evaluate=math.sin, derivative=math.cos, name="sine")
-    assert sine(0.0) == 0.0
-
-    def fn(z):
-        s = np.array([sine(v) for v in z[0]])
-        return [s, s + z[1]]
-
-    got = jacobian(fn, np.array([0.6, 1.0]))
-    np.testing.assert_allclose(
-        got, [[math.cos(0.6), 0.0], [math.cos(0.6), 1.0]], rtol=1e-15
-    )
 
 
 def test_finite_difference_identity():

@@ -294,6 +294,23 @@ def test_scheme_model_pairing_is_validated(capsys):
     assert "exact-quadratic-p needs the quadratic model" in err
 
 
+@pytest.mark.parametrize("scheme", ["exact-quadratic-p", "exact-quadratic-q"])
+def test_exact_maps_run_on_the_oscillator(capsys, scheme):
+    # the oscillator is a quadratic model, so the exact maps accept it
+    argv = ["trajectory", "--hamiltonian", "harmonic", "--scheme", scheme, "--steps", "3"]
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 0, err
+    traj = integrate(
+        harmonic_oscillator(), SchemeConfig(scheme, 0.1), PhaseState(np.array([1.0]), np.array([0.0])), 3
+    )
+    _, rows = csv_rows(out)
+    expected = [
+        [str(k), cli._fmt(t), *map(cli._fmt, z), cli._fmt(e)]
+        for k, t, z, e in zip(traj.step_indices, traj.times, traj.states, traj.energies)
+    ]
+    assert rows == expected
+
+
 def test_exact_map_names_its_implicit_side(capsys):
     argv = ["--hamiltonian", "quadratic", "--scheme", "exact-quadratic-q"]
     rc, out, err = run_cli(capsys, ["defect-sweep", *argv, "--h-count", "3"])

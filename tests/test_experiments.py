@@ -257,6 +257,11 @@ def test_drift_run_validation(oscillator, oscillator_state):
         energy_drift_run(oscillator, [config], oscillator_state, steps=0, stride=1)
     with pytest.raises(ValueError):
         energy_drift_run(oscillator, [config], oscillator_state, steps=10, stride=0)
+    # a float count is refused with integrate's ValueError, not range()'s TypeError
+    with pytest.raises(ValueError, match="steps must be an integer"):
+        energy_drift_run(oscillator, [config], oscillator_state, steps=2.5, stride=1)
+    with pytest.raises(ValueError, match="stride must be an integer"):
+        energy_drift_run(oscillator, [config], oscillator_state, steps=10, stride=2.0)
 
 
 SYNTHETIC_T = np.linspace(0.0, 1000.0, 1001)

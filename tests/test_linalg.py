@@ -3,7 +3,6 @@ import pytest
 
 from sympdefect.autodiff import jacobian
 from sympdefect.linalg import (
-    determinant,
     frobenius_norm,
     real_product,
     solve,
@@ -18,7 +17,7 @@ def test_symplectic_matrix_smallest():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_symplectic_matrix_structure(n):
     j = symplectic_matrix(n)
-    assert determinant(j) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.det(j) == pytest.approx(1.0, abs=1e-12)
     assert np.array_equal(j.T, -j)
     assert np.array_equal(j @ j, -np.eye(2 * n))
 
@@ -99,42 +98,6 @@ def test_solve_derivative_through_jacobian(e, d):
     x0 = np.linalg.solve(A0, B0)
     expected = np.linalg.solve(A0, d - (0.0 if e is None else e @ x0))
     np.testing.assert_allclose(jacobian(fn, np.zeros(1))[:, 0], expected, rtol=1e-12)
-
-
-def test_determinant_identity():
-    assert determinant(np.eye(4)) == 1.0
-
-
-def test_determinant_is_multiplicative():
-    rng = np.random.default_rng(11)
-    a = rng.standard_normal((6, 6))
-    b = rng.standard_normal((6, 6))
-    lhs = determinant(a @ b)
-    rhs = determinant(a) * determinant(b)
-    assert lhs == pytest.approx(rhs, rel=1e-10)
-
-
-def test_determinant_of_a_stack_is_each_determinant_bitwise():
-    stack = np.random.default_rng(12).standard_normal((5, 6, 6))
-    dets = determinant(stack)
-    assert dets.shape == (5,)
-    assert [d.tobytes() for d in dets] == [determinant(a).tobytes() for a in stack]
-
-
-def test_determinant_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        determinant(np.array([[np.inf, 0.0], [0.0, 1.0]]))
-    for entry in (np.inf, np.nan):
-        stack = np.ones((3, 2, 2))
-        stack[-1, -1, -1] = entry  # one entry of the last matrix
-        with pytest.raises(ValueError, match="non-finite"):
-            determinant(stack)
-
-
-@pytest.mark.parametrize("shape", [(2, 3), (4, 2, 3), (4,)])
-def test_determinant_rejects_non_square_input(shape):
-    with pytest.raises(ValueError):
-        determinant(np.ones(shape))
 
 
 # quadratic_oracle.coupling_power takes its exact int64 powers from

@@ -19,9 +19,9 @@ from sympdefect.state import PhaseState
 def fresh_powers():
     """Empty the power cache before and after the test, so its powers are
     computed and checked afresh and none computed under a patch leaks out."""
-    quadratic_oracle._checked_power.cache_clear()
+    coupling_power.cache_clear()
     yield
-    quadratic_oracle._checked_power.cache_clear()
+    coupling_power.cache_clear()
 
 
 def band(power, offset):

@@ -32,13 +32,6 @@ def test_from_vector_rejects_odd_length():
         PhaseState.from_vector(np.zeros(5))
 
 
-def test_copy_is_independent():
-    st = PhaseState(np.array([1.0]), np.array([2.0]))
-    dup = st.copy()
-    dup.q[0] = 99.0
-    assert st.q[0] == 1.0
-
-
 def test_batch_round_trips_through_vector():
     q = np.arange(6.0).reshape(3, 2)
     st = PhaseState(q, -q)
