@@ -234,7 +234,7 @@ def cmd_trajectory(cfg: argparse.Namespace) -> int:
     traj = integrate(
         model, config, state, _pick(cfg.steps, 1000), _pick(cfg.stride, 1)
     )
-    n = traj.dim
+    n = model.dim
     header = (
         ["step", "t"]
         + [f"q{i + 1}" for i in range(n)]

@@ -346,8 +346,8 @@ def energy_drift_run(
         blown = False
         # overflow on a diverging orbit ends in IntegrationError, not a numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
-            for k, current in orbit(model, config, state, steps, stride):
-                diff = model.energy(current) - e0
+            for k, current, energy in orbit(model, config, state, steps, stride):
+                diff = energy - e0
                 indices.append(k)
                 signed.append(diff)
                 states.append(current)

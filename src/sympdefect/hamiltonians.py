@@ -23,7 +23,8 @@ complex step runs it on the real part, once per distinct real column, and
 takes its tangents from those derivatives (tangent-linear mode with the
 whole potential as one elemental function), so a complex-step pass costs
 one field evaluation per distinct position (one per step size in a grid
-pass) and its real parts are the float step's bitwise.
+pass) and its real parts are the float step's bitwise.  A float 3-vector's
+position sweeps run on Python floats from that body (`position_sweeps`).
 """
 
 from __future__ import annotations
@@ -417,6 +418,22 @@ class TokamakModel(HamiltonianModel):
         out.imag = slopes[0] + slopes[1] + slopes[2]
         return out
 
+    def position_sweeps(self, q: np.ndarray, p: np.ndarray, h: float, m: int) -> list[np.ndarray]:
+        """q_0..q_M of q_{n+1} = q + h (p - A(q_n)) for float 3-vectors and a float h, on
+        Python floats with the numpy loop's IEEE operations and `grad_p` calls, so bitwise."""
+        (x0, y0, z0), pt = q.tolist(), tuple(p.tolist())
+        gx, gy, gz = self.grad_p(q, p).tolist()
+        iterates = [q]
+        for n in range(1, m + 1):
+            x, y, z = x0 + h * gx, y0 + h * gy, z0 + h * gz
+            # _check_finite's sum, which finite entries may overflow
+            if not math.isfinite(x + y + z) and not all(map(math.isfinite, (x, y, z))):
+                raise NonFiniteIterateError(f"non-finite position iterate {n}")
+            iterates.append(np.array([x, y, z]))
+            if n < m:
+                gx, gy, gz = self.grad_p((x, y, z), pt)
+        return iterates
+
     def vector_potential(self, q: np.ndarray) -> np.ndarray:
         return self.potential_and_jacobian(q, with_jacobian=False)[0]
 
@@ -431,6 +448,10 @@ class TokamakModel(HamiltonianModel):
         return -transposed_product(jac, d)
 
     def grad_p(self, q, p):
+        """p - A(q), also as a tuple for two float 3-tuples (`position_sweeps`), unmemoised."""
+        if type(q) is tuple:
+            ax, ay, az = self._field(*q, 0)
+            return p[0] - ax, p[1] - ay, p[2] - az
         return p - self.vector_potential(q)
 
     def hessian_blocks(self, q, p):

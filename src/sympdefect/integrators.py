@@ -9,7 +9,8 @@ forms are kept alongside as references.  Each `Scheme` member declares
 its sweep counts, implicit side and step once; other modules read them.
 Every step also takes a batch of states (q and p of shape (N, K)) and
 steps each column as it would step that state alone, with a float step
-size h or one per column, h of shape (K,).
+size h or one per column, h of shape (K,).  A model's `position_sweeps`
+runs a float 3-vector's position sweeps, bitwise the numpy loop's, if it has one.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -117,6 +119,11 @@ def _check_finite(vec: np.ndarray, label: str) -> None:
         raise NonFiniteIterateError(f"non-finite {label}")
 
 
+@lru_cache(maxsize=16)
+def _identity(n: int) -> np.ndarray:
+    return np.broadcast_to(np.eye(n), (n, n))  # a read-only view
+
+
 def momentum_iterates(model, state: PhaseState, h: float, m: int) -> list[np.ndarray]:
     """All momentum sweeps p_0..p_M of the p-implicit half at (q, p)."""
     _check_step(h)
@@ -136,6 +143,9 @@ def position_iterates(model, state: PhaseState, h: float, m: int) -> list[np.nda
     _check_step(h)
     _require_count("M", m)
     q, p = state.q, state.p
+    sweeps = getattr(model, "position_sweeps", None)
+    if sweeps and q.ndim == 1 and q.dtype.char == p.dtype.char == "d" and not isinstance(h, np.ndarray):
+        return sweeps(q, p, h, m)
     iterates = [q]
     qn = q
     for n in range(m):
@@ -232,7 +242,7 @@ def step_linear_implicit_em(model, state: PhaseState, h: float) -> PhaseState:
         raise TypeError("model does not expose a vector potential with Jacobian")
     q, p = state.q, state.p
     pot, jac = model.potential_and_jacobian(q)
-    lhs = np.eye(model.dim) - (h * jac).T
+    lhs = _identity(model.dim) - (h * jac).T
     rhs = p - h * transposed_product(jac, pot)
     pt = solve(lhs, rhs)
     _check_finite(pt, "updated momentum")
@@ -257,7 +267,7 @@ def exact_se_quadratic(model, state: PhaseState, h: float, variant: str = "p") -
         raise TypeError("model does not expose a constant coupling matrix")
     coupling = model.coupling
     q, p = state.q, state.p
-    eye = np.eye(state.dim)
+    eye = _identity(state.dim)
     if variant == "p":
         pt = solve(eye + np.multiply.outer(h, coupling), p - h * q)
         qt = q + h * (pt + coupling.T @ q)
@@ -284,26 +294,25 @@ class Trajectory:
     energies: np.ndarray
     config: SchemeConfig
 
-    @property
-    def dim(self) -> int:
-        return self.states.shape[1] // 2
-
 
 def orbit(model, config: SchemeConfig, state: PhaseState, steps: int, stride: int = 1):
-    """Yield (k, z_k) at step 0, at every `stride`-th step and at the final step.
+    """Yield (k, z_k, H(z_k)) at step 0, at every `stride`-th step and at the final step.
 
-    A failed step raises IntegrationError carrying its index.  The caller
-    validates `steps` and `stride` and may stop early by leaving its loop.
+    A failed step, or a failing energy at a sampled step k > 0, raises
+    IntegrationError carrying its index.  The caller validates `steps` and
+    `stride` and may stop early by leaving its loop.
     """
-    yield 0, state
+    yield 0, state, model.energy(state)
     current = state
     for k in range(1, steps + 1):
         try:
             current = one_step(model, config, current)
+            if k % stride and k != steps:
+                continue
+            energy = model.energy(current)
         except (ValueError, ArithmeticError) as exc:
             raise IntegrationError(k, str(exc)) from exc
-        if k % stride == 0 or k == steps:
-            yield k, current
+        yield k, current, energy
 
 
 def integrate(
@@ -315,12 +324,12 @@ def integrate(
 ) -> Trajectory:
     """Iterate the one-step map, sampling every `stride` steps.
 
-    Step 0 and the final step are always sampled.  A non-finite state or a
-    failed solve aborts with the offending step index.
+    Step 0 and the final step are always sampled.  A non-finite state, a
+    failed solve or a failing sampled energy aborts with its step index.
     """
-    if not isinstance(steps, (int, np.integer)) or steps < 0:
+    if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool) or steps < 0:
         raise ValueError(f"steps must be a non-negative integer, got {steps!r}")
-    if not isinstance(stride, (int, np.integer)) or stride < 1:
+    if not isinstance(stride, (int, np.integer)) or isinstance(stride, bool) or stride < 1:
         raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
     indices = []
     rows = []
@@ -328,10 +337,10 @@ def integrate(
     # a diverging orbit overflows before its iterate check turns the inf
     # into IntegrationError; one guard per run keeps numpy quiet meanwhile
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, current in orbit(model, config, state, steps, stride):
+        for k, current, energy in orbit(model, config, state, steps, stride):
             indices.append(k)
             rows.append(current.to_vector().astype(float))
-            energies.append(model.energy(current))
+            energies.append(energy)
     idx = np.array(indices, dtype=int)
     return Trajectory(
         step_indices=idx,

@@ -19,8 +19,8 @@ from sympdefect.experiments import (
     sv_block_orders,
 )
 from sympdefect.hamiltonians import reference_initial_state
-from sympdefect.integrators import Scheme, SchemeConfig, integrate
-from sympdefect.state import PhaseState
+from sympdefect.integrators import IntegrationError, Scheme, SchemeConfig, integrate
+from sympdefect.state import NonFiniteIterateError, PhaseState
 
 
 def test_loglog_fit_recovers_power_law():
@@ -262,6 +262,16 @@ def test_drift_run_validation(oscillator, oscillator_state):
         energy_drift_run(oscillator, [config], oscillator_state, steps=2.5, stride=1)
     with pytest.raises(ValueError, match="stride must be an integer"):
         energy_drift_run(oscillator, [config], oscillator_state, steps=10, stride=2.0)
+
+
+def test_drift_run_reports_a_failing_sampled_energy_at_its_step(tokamak, tokamak_state):
+    # step 2262 of this orbit succeeds; the energy sampled there is the
+    # first field evaluation to overflow, as in integrate at stride 1
+    config = SchemeConfig(Scheme.P_IMPLICIT, 0.25, M=1)
+    with pytest.raises(IntegrationError, match="failed at step 2262: field flux overflows") as err:
+        energy_drift_run(tokamak, [config], tokamak_state, steps=2262, stride=2262)
+    assert err.value.step_index == 2262
+    assert isinstance(err.value.__cause__, NonFiniteIterateError)
 
 
 SYNTHETIC_T = np.linspace(0.0, 1000.0, 1001)

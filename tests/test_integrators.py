@@ -3,6 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_defect import tokamak_cases
 
 from sympdefect.autodiff import STEP
 from sympdefect.defect import analyze
@@ -341,6 +344,11 @@ def test_integrate_validation(quad3, quad3_state):
         integrate(quad3, config, quad3_state, steps=2, stride=0)
     with pytest.raises(ValueError):
         integrate(quad3, config, quad3_state, steps=2.5)
+    # a bool is an int to isinstance; energy_drift_run refuses it too
+    with pytest.raises(ValueError, match="steps must be a non-negative integer, got True"):
+        integrate(quad3, config, quad3_state, True, 1)
+    with pytest.raises(ValueError, match="stride must be an integer >= 1, got True"):
+        integrate(quad3, config, quad3_state, 2, True)
 
 
 @pytest.mark.parametrize(
@@ -372,6 +380,87 @@ def test_diverging_tokamak_orbit_fails_as_non_finite_iterate(config, tokamak, to
             integrate(tokamak, config, tokamak_state, steps=20_000, stride=20_000)
     assert err.value.step_index > 0
     assert isinstance(err.value.__cause__, NonFiniteIterateError)
+
+
+def test_failing_sampled_energy_reports_its_step(tokamak, tokamak_state):
+    # p-implicit's new position is checked for finiteness only; at stride 1
+    # the energy sampled there is the first field evaluation to overflow
+    config = SchemeConfig(Scheme.P_IMPLICIT, 0.25, M=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError, match="failed at step 2262: field flux overflows") as err:
+            integrate(tokamak, config, tokamak_state, steps=5000, stride=1)
+        # at any other stride the next step's field evaluation fails first
+        with pytest.raises(IntegrationError, match="failed at step 2263: field flux overflows"):
+            integrate(tokamak, config, tokamak_state, steps=5000, stride=5000)
+    assert err.value.step_index == 2262
+    assert isinstance(err.value.__cause__, NonFiniteIterateError)
+
+
+def test_pinned_tokamak_divergence_step(tokamak, tokamak_state):
+    # the drift benchmark's expected divergence: stride = steps, so only a
+    # failing step ends the run
+    config = SchemeConfig(Scheme.Q_IMPLICIT, 0.25, M=1)
+    with pytest.raises(IntegrationError) as err:
+        energy_drift_run(tokamak, [config], tokamak_state, steps=20_000, stride=20_000)
+    assert err.value.step_index == 2234
+    assert isinstance(err.value.__cause__, NonFiniteIterateError)
+
+
+def _outcome(run):
+    """The bytes of each array `run()` returns, or the type and message of
+    the error it raises; numpy's overflow on a diverging batch stays quiet."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return [x.tobytes() for x in run()]
+        except (ValueError, ArithmeticError) as exc:
+            return type(exc), str(exc)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(case=tokamak_cases(), blowup=st.sampled_from([0, 0, 100, 200, 300, 305, 306]))
+def test_float_position_sweeps_are_the_batch_column_bitwise(tokamak, tokamak_state, case, blowup):
+    # a float 3-vector's sweeps run on Python floats (TokamakModel.position_sweeps);
+    # a (3, 1) batch runs the numpy loop.  A step size scaled by 10^blowup
+    # makes the sweeps fail at some iterate, or the field there overflow
+    position, factors, h, m = case
+    h *= 10.0**blowup
+    q, p = position / tokamak.scales.L0, factors * tokamak_state.p
+    vector, column = PhaseState(q, p), PhaseState(q[:, None], p[:, None])
+    runs = [
+        lambda z: position_iterates(tokamak, z, h, m),
+        lambda z: [step_q_implicit(tokamak, z, h, m).to_vector()],
+        lambda z: [step_sv_pq(tokamak, z, h, m, 5 - m).to_vector()],
+        lambda z: [step_sv_qp(tokamak, z, h, 5 - m, m).to_vector()],
+    ]
+    for run in runs:
+        want = _outcome(lambda: [x[:, 0] for x in run(column)])
+        assert _outcome(lambda: run(vector)) == want
+
+
+@pytest.mark.parametrize(
+    "momentum, h, failure",
+    [
+        ([math.inf, 0.0, 0.0], 0.25, "non-finite position iterate 1"),
+        ([0.0, math.nan, 0.0], 0.25, "non-finite position iterate 1"),
+        # iterate 1 is finite though its sum overflows; the field there is not
+        ([1e308, 1e308, 0.0], 1.0, "field flux overflows at radius inf m"),
+        # p = A(q_0) but for 1e-304 where A_x is 0: q_1 is 100 L0 out, where h (p - A) overflows
+        ("potential", 1e306, "non-finite position iterate 2"),
+    ],
+    ids=["inf", "nan", "overflowing-sum", "second-iterate"],
+)
+def test_float_position_sweeps_fail_as_the_batch_column(momentum, h, failure, tokamak, tokamak_state):
+    q = tokamak_state.q
+    if momentum == "potential":
+        momentum = tokamak.vector_potential(q) + [1e-304, 0.0, 0.0]
+        assert momentum[1:].tolist() == tokamak.vector_potential(q)[1:].tolist()
+    p = np.array(momentum, dtype=float)
+    vector, column = PhaseState(q, p), PhaseState(q[:, None], p[:, None])
+    for m in (1, 3):
+        want = _outcome(lambda: [x[:, 0] for x in position_iterates(tokamak, column, h, m)])
+        assert _outcome(lambda: position_iterates(tokamak, vector, h, m)) == want
+    assert want == (NonFiniteIterateError, failure)
 
 
 @pytest.mark.parametrize("n", [3, 8])
