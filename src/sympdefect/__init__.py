@@ -46,7 +46,6 @@ from .hamiltonians import (
     quadratic_model,
     reference_initial_state,
     reference_initial_state_si,
-    safety_factor,
     tokamak_model,
 )
 from .integrators import (

@@ -23,9 +23,9 @@ complex step runs it on the real part, once per distinct real column, and
 takes its tangents from those derivatives (tangent-linear mode with the
 whole potential as one elemental function), so a complex-step pass costs
 one field evaluation per distinct position (one per step size in a grid
-pass) and its real parts are the float step's bitwise.  A float 3-vector's
-position sweeps run on Python floats from that body (`position_sweeps`).
-"""
+pass).  Real float states step on Python floats (`TokamakModel.float_step`),
+summing J^T d in the order of a complex pass's real parts, which are thus
+the float step's bitwise but for em, whose complex pass solves with LAPACK."""
 
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import jacobian
-from .linalg import _check_square, real_product, transposed_product
+from .linalg import _check_square, real_product, solve3, transposed_product
 from .state import NonFiniteIterateError, PhaseState
 
 # Positions closer to the torus axis than this fraction of R are rejected
@@ -45,6 +45,13 @@ AXIS_TOLERANCE = 1e-9
 
 class AxisSingularityError(ValueError):
     """Evaluation requested on (or numerically at) the torus axis rho = 0."""
+
+
+def _finite(values: tuple, label: str, n: int = 0) -> tuple:
+    """`values`, unless an entry is non-finite (a finite sum proves them finite)."""
+    if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
+        raise NonFiniteIterateError(f"non-finite {label} {n}" if n else f"non-finite {label}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -97,18 +104,10 @@ class CharacteristicScales:
         """SI state -> dimensionless state."""
         return PhaseState(state.q / self.L0, state.p / self.P0)
 
-    def dimensionalize(self, state: PhaseState) -> PhaseState:
-        """Dimensionless state -> SI state."""
-        return PhaseState(state.q * self.L0, state.p * self.P0)
-
-
-def safety_factor(r, params: PhysicalParams):
-    """Field-line pitch profile q(r) = (1 + a r) / (1 + r^2)."""
-    return (1.0 + params.a * r) / (1.0 + r * r)
-
 
 def field_profile(r, params: PhysicalParams):
-    """f(r) = r / (R q(r)), the radial profile under the flux integral."""
+    """f(r) = r / (R q(r)), the radial profile under the flux integral, with
+    the safety factor q(r) = (1 + a r) / (1 + r^2)."""
     return r * (1.0 + r * r) / (params.R * (1.0 + params.a * r))
 
 
@@ -266,10 +265,9 @@ class TokamakModel(HamiltonianModel):
     derivatives of A are closed forms in F, its derivative f and f', so
     differentiating a flow never runs through F's closed form, whose
     branches and series loop are exact only in value.  Complex steps take
-    their values from the float body, so the AD Jacobian differentiates the
-    float step's trajectory; a position whose radius r or flux F(r)
-    overflows raises NonFiniteIterateError on both.  The Hessian blocks
-    are closed forms too, built from the same second derivatives of A.
+    their values from the float body that `float_step` runs too; a position
+    whose radius r or flux F(r) overflows raises NonFiniteIterateError on
+    both.  The Hessian blocks are closed forms from the same derivatives.
     """
 
     dim = 3
@@ -280,9 +278,10 @@ class TokamakModel(HamiltonianModel):
         par, s = self.params, self.scales
         # the float body's constants: B0, R, a, L0, 1 / A0 and L0 / A0
         self._constants = (par.B0, par.R, par.a, s.L0, 1.0 / s.A0, s.L0 / s.A0)
-        # one-entry memo: fixed-point sweeps and adjacent steps revisit the
-        # same position, so this halves field evaluations
+        # one-entry memo, shared by the float kernel and the arrays: sweeps,
+        # adjacent steps and sampled energies revisit the same position
         self._memo_key: bytes | tuple | None = None
+        self._memo_field: list | None = None  # `_field`'s list, for a real 3-vector
         self._memo_pot: np.ndarray | None = None
         self._memo_jac: np.ndarray | None = None
 
@@ -353,6 +352,14 @@ class TokamakModel(HamiltonianModel):
         ]
         return out
 
+    def _field_at(self, q: tuple, order: int) -> list[float]:
+        """`_field` at a real position given as a 3-tuple, through the memo."""
+        field = self._memo_field
+        if q != self._memo_key or order and len(field) == 3:
+            field = self._field(*q, order)
+            self._memo_key, self._memo_field, self._memo_pot, self._memo_jac = q, field, None, None
+        return field
+
     def potential_and_jacobian(self, q: np.ndarray, with_jacobian: bool = True):
         """Dimensionless A(q) and optionally its Jacobian dA/dq.
 
@@ -361,34 +368,35 @@ class TokamakModel(HamiltonianModel):
         float body, once per distinct real column (one per state and step
         size of a complex-step pass), and the tangents are the exact first-order
         products dA/dq t and (d^2 A/dq^2) t, each summed in one fixed order
-        per column.  Real parts are therefore bitwise the float step's.  For
+        per column.  Real parts are therefore bitwise the float body's.  For
         a batch q of shape (3, K), A has shape (3, K) and dA/dq shape
-        (3, 3, K).  The arrays returned are read-only.  Results are memoised
-        for one input.  A 3-vector's bytes fix its dtype by their length,
-        but a batch is keyed on its shape and dtype as well: a float (3, 2)
-        batch and a complex 3-vector can have the same bytes.
+        (3, 3, K).  The arrays returned are read-only.  One input is
+        memoised, in the memo `float_step` shares: a real 3-vector keyed on
+        its values (0.0 and -0.0 are one position), a complex one on its
+        bytes, a batch on its shape, dtype and bytes (a float (3, 2) batch
+        and a complex 3-vector can have the same bytes).
         """
         vector = q.ndim == 1
-        key = q.tobytes() if vector else (q.shape, q.dtype.char, q.tobytes())
-        if key == self._memo_key and (self._memo_jac is not None or not with_jacobian):
-            return self._memo_pot, (self._memo_jac if with_jacobian else None)
+        key = ((q.tobytes() if q.dtype.kind == "c" else tuple(q.tolist())) if vector
+               else (q.shape, q.dtype.char, q.tobytes()))
+        pot, jac = self._memo_pot, self._memo_jac
+        if key == self._memo_key and pot is not None and (jac is not None or not with_jacobian):
+            return pot, (jac if with_jacobian else None)
         order = 1 if with_jacobian else 0
+        field = self._field_at(key, order) if vector and type(key) is tuple else None
         # rows: A, then dA/dq row-major; one column per batch column
-        if q.dtype.kind == "c":
+        if field is not None:
+            out = np.array(field)
+        elif q.dtype.kind != "c":
+            out = self._fields(q.T.tolist(), order).T
+        else:
             out = self._complex_step(q[:, None] if vector else q, order)
             if vector:
                 out = out[:, 0]
-        elif vector:
-            out = np.array(self._field(*q.tolist(), order))
-        else:
-            out = self._fields(q.T.tolist(), order).T
         out.setflags(write=False)
-        if with_jacobian:
-            pot, jac = out[:3], out[3:].reshape(3, 3, *out.shape[1:])
-        else:
-            pot, jac = out, None
-        self._memo_key, self._memo_pot, self._memo_jac = key, pot, jac
-        return pot, jac
+        pot, jac = out[:3], (out[3:].reshape(3, 3, *out.shape[1:]) if len(out) > 3 else None)
+        self._memo_key, self._memo_field, self._memo_pot, self._memo_jac = key, field, pot, jac
+        return pot, (jac if with_jacobian else None)
 
     def _fields(self, columns: list, order: int) -> np.ndarray:
         """`_field` at each [x, y, z] of `columns`, one row per position."""
@@ -418,21 +426,32 @@ class TokamakModel(HamiltonianModel):
         out.imag = slopes[0] + slopes[1] + slopes[2]
         return out
 
-    def position_sweeps(self, q: np.ndarray, p: np.ndarray, h: float, m: int) -> list[np.ndarray]:
-        """q_0..q_M of q_{n+1} = q + h (p - A(q_n)) for float 3-vectors and a float h, on
-        Python floats with the numpy loop's IEEE operations and `grad_p` calls, so bitwise."""
-        (x0, y0, z0), pt = q.tolist(), tuple(p.tolist())
-        gx, gy, gz = self.grad_p(q, p).tolist()
-        iterates = [q]
-        for n in range(1, m + 1):
-            x, y, z = x0 + h * gx, y0 + h * gy, z0 + h * gz
-            # _check_finite's sum, which finite entries may overflow
-            if not math.isfinite(x + y + z) and not all(map(math.isfinite, (x, y, z))):
-                raise NonFiniteIterateError(f"non-finite position iterate {n}")
-            iterates.append(np.array([x, y, z]))
-            if n < m:
-                gx, gy, gz = self.grad_p((x, y, z), pt)
-        return iterates
+    def float_step(self, side: str, q: list, p: list, h: float, m: int | None) -> tuple:
+        """One step on Python floats, (q~, p~) as 3-tuples: side "p" or "q" is p- or
+        q-implicit Euler with M sweeps (a position sweep is one `grad_p` call on
+        3-tuples), "em" linear-implicit-em.  Updates and checks are the numpy step's,
+        J^T d summed as J[0][k] d_0 + J[1][k] d_1 + J[2][k] d_2 (J = dA/dq), em solved by `solve3`."""
+        x, y, z = q = tuple(q)
+        for n in range(1, m + 1 if side == "q" else 1):
+            gx, gy, gz = self.grad_p(q, p)
+            q = _finite((x + h * gx, y + h * gy, z + h * gz), "position iterate", n)
+        ax, ay, az, j00, j01, j02, j10, j11, j12, j20, j21, j22 = self._field_at(q, 1)
+
+        def plus_jt(c, dx, dy, dz):  # c + h J^T d, bitwise c - h grad_q for d = p - A
+            return (c[0] + h * (j00 * dx + j10 * dy + j20 * dz), c[1] + h * (j01 * dx + j11 * dy + j21 * dz),
+                    c[2] + h * (j02 * dx + j12 * dy + j22 * dz))
+
+        if side == "q":
+            return q, _finite(plus_jt(p, p[0] - ax, p[1] - ay, p[2] - az), "updated momentum")
+        pn = p
+        for n in range(1, m + 1 if side == "p" else 1):
+            pn = _finite(plus_jt(p, pn[0] - ax, pn[1] - ay, pn[2] - az), "momentum iterate", n)
+        if side == "em":  # the rhs is p - h J^T A
+            lhs = [[1.0 - h * j00, -h * j10, -h * j20], [-h * j01, 1.0 - h * j11, -h * j21],
+                   [-h * j02, -h * j12, 1.0 - h * j22]]
+            pn = _finite(solve3(lhs, plus_jt(p, -ax, -ay, -az)), "updated momentum")
+        q = (x + h * (pn[0] - ax), y + h * (pn[1] - ay), z + h * (pn[2] - az))
+        return _finite(q, "updated position"), pn
 
     def vector_potential(self, q: np.ndarray) -> np.ndarray:
         return self.potential_and_jacobian(q, with_jacobian=False)[0]
@@ -448,10 +467,10 @@ class TokamakModel(HamiltonianModel):
         return -transposed_product(jac, d)
 
     def grad_p(self, q, p):
-        """p - A(q), also as a tuple for two float 3-tuples (`position_sweeps`), unmemoised."""
+        """p - A(q), also as a tuple for two float 3-tuples (`float_step`'s sweeps)."""
         if type(q) is tuple:
-            ax, ay, az = self._field(*q, 0)
-            return p[0] - ax, p[1] - ay, p[2] - az
+            a = self._field_at(q, 0)
+            return p[0] - a[0], p[1] - a[1], p[2] - a[2]
         return p - self.vector_potential(q)
 
     def hessian_blocks(self, q, p):

@@ -9,13 +9,13 @@ forms are kept alongside as references.  Each `Scheme` member declares
 its sweep counts, implicit side and step once; other modules read them.
 Every step also takes a batch of states (q and p of shape (N, K)) and
 steps each column as it would step that state alone, with a float step
-size h or one per column, h of shape (K,).  A model's `position_sweeps`
-runs a float 3-vector's position sweeps, bitwise the numpy loop's, if it has one.
+size h or one per column, h of shape (K,).  A model with a scalar kernel
+`float_step` (the tokamak) steps real float64 states there, a batch column
+by column; complex steps and the other models run the numpy code here.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -112,10 +112,7 @@ def _check_step(h) -> None:
 
 
 def _check_finite(vec: np.ndarray, label: str) -> None:
-    # a Python sum over tolist() costs a fraction of ndarray.sum on 3-vectors
-    # and is non-finite whenever a component is (real or imaginary part), or
-    # when large finite ones overflow; on a batch it costs more than isfinite
-    if not (vec.ndim == 1 and cmath.isfinite(sum(vec.tolist())) or np.isfinite(vec).all()):
+    if not np.isfinite(vec).all():
         raise NonFiniteIterateError(f"non-finite {label}")
 
 
@@ -126,37 +123,44 @@ def _identity(n: int) -> np.ndarray:
 
 def momentum_iterates(model, state: PhaseState, h: float, m: int) -> list[np.ndarray]:
     """All momentum sweeps p_0..p_M of the p-implicit half at (q, p)."""
-    _check_step(h)
-    _require_count("M", m)
-    q, p = state.q, state.p
-    iterates = [p]
-    pn = p
-    for n in range(m):
-        pn = p - h * model.grad_q(q, pn)
-        _check_finite(pn, f"momentum iterate {n + 1}")
-        iterates.append(pn)
-    return iterates
+    return _sweeps(lambda pn: state.p - h * model.grad_q(state.q, pn), state.p, h, m, "momentum")
 
 
 def position_iterates(model, state: PhaseState, h: float, m: int) -> list[np.ndarray]:
     """All position sweeps q_0..q_M of the q-implicit half at (q, p)."""
+    return _sweeps(lambda qn: state.q + h * model.grad_p(qn, state.p), state.q, h, m, "position")
+
+
+def _sweeps(update, start: np.ndarray, h, m: int, name: str) -> list[np.ndarray]:
+    """start and the M fixed-point sweeps x_{n+1} = update(x_n), each checked."""
     _check_step(h)
     _require_count("M", m)
-    q, p = state.q, state.p
-    sweeps = getattr(model, "position_sweeps", None)
-    if sweeps and q.ndim == 1 and q.dtype.char == p.dtype.char == "d" and not isinstance(h, np.ndarray):
-        return sweeps(q, p, h, m)
-    iterates = [q]
-    qn = q
-    for n in range(m):
-        qn = q + h * model.grad_p(qn, p)
-        _check_finite(qn, f"position iterate {n + 1}")
-        iterates.append(qn)
+    iterates = [start]
+    for n in range(1, m + 1):
+        iterates.append(update(iterates[-1]))
+        _check_finite(iterates[-1], f"{name} iterate {n}")
     return iterates
+
+
+def _float_step(model, state: PhaseState, h, side: str, m: int | None = None) -> PhaseState | None:
+    """`model.float_step` on a real float64 state, a batch column by column; None where it has none."""
+    q, p = state.q, state.p
+    if q.dtype.char != "d" or p.dtype.char != "d" or getattr(model, "float_step", None) is None:
+        return None
+    _check_step(h)
+    if m is not None:
+        _require_count("M", m)
+    if q.ndim == 1:
+        return PhaseState(*model.float_step(side, q.tolist(), p.tolist(), h, m))
+    hs = h.tolist() if isinstance(h, np.ndarray) else [h] * q.shape[1]
+    steps = [model.float_step(side, *column, m) for column in zip(q.T.tolist(), p.T.tolist(), hs)]
+    return PhaseState.from_vector(np.array(steps).reshape(-1, 2 * q.shape[0]).T)
 
 
 def step_p_implicit(model, state: PhaseState, h: float, m: int) -> PhaseState:
     """Symplectic Euler with implicit momentum, M fixed-point sweeps."""
+    if (out := _float_step(model, state, h, "p", m)) is not None:
+        return out
     pn = momentum_iterates(model, state, h, m)[-1]
     qt = state.q + h * model.grad_p(state.q, pn)
     _check_finite(qt, "updated position")
@@ -165,6 +169,8 @@ def step_p_implicit(model, state: PhaseState, h: float, m: int) -> PhaseState:
 
 def step_q_implicit(model, state: PhaseState, h: float, m: int) -> PhaseState:
     """Symplectic Euler with implicit position, M fixed-point sweeps."""
+    if (out := _float_step(model, state, h, "q", m)) is not None:
+        return out
     qn = position_iterates(model, state, h, m)[-1]
     pt = state.p - h * model.grad_q(qn, state.p)
     _check_finite(pt, "updated momentum")
@@ -194,15 +200,9 @@ def step_sv_pq_direct(model, state: PhaseState, h: float, m1: int, m2: int) -> P
     _require_count("M2", m2)
     q, p = state.q, state.p
     hh = 0.5 * h
-    pbar = p
-    for n in range(m1):
-        pbar = p - hh * model.grad_q(q, pbar)
-        _check_finite(pbar, f"momentum iterate {n + 1}")
+    pbar = momentum_iterates(model, state, hh, m1)[-1]
     gp0 = model.grad_p(q, pbar)
-    qn = q + hh * gp0
-    for n in range(m2):
-        qn = q + hh * (gp0 + model.grad_p(qn, pbar))
-        _check_finite(qn, f"position iterate {n + 1}")
+    qn = _sweeps(lambda qk: q + hh * (gp0 + model.grad_p(qk, pbar)), q + hh * gp0, hh, m2, "position")[-1]
     pt = pbar - hh * model.grad_q(qn, pbar)
     _check_finite(pt, "updated momentum")
     return PhaseState(qn, pt)
@@ -215,15 +215,9 @@ def step_sv_qp_direct(model, state: PhaseState, h: float, m1: int, m2: int) -> P
     _require_count("M2", m2)
     q, p = state.q, state.p
     hh = 0.5 * h
-    qbar = q
-    for n in range(m1):
-        qbar = q + hh * model.grad_p(qbar, p)
-        _check_finite(qbar, f"position iterate {n + 1}")
+    qbar = position_iterates(model, state, hh, m1)[-1]
     gq0 = model.grad_q(qbar, p)
-    pn = p - hh * gq0
-    for n in range(m2):
-        pn = p - hh * (gq0 + model.grad_q(qbar, pn))
-        _check_finite(pn, f"momentum iterate {n + 1}")
+    pn = _sweeps(lambda pk: p - hh * (gq0 + model.grad_q(qbar, pk)), p - hh * gq0, hh, m2, "momentum")[-1]
     qt = qbar + hh * model.grad_p(qbar, pn)
     _check_finite(qt, "updated position")
     return PhaseState(qt, pn)
@@ -237,6 +231,8 @@ def step_linear_implicit_em(model, state: PhaseState, h: float) -> PhaseState:
     q~ = q + h (p~ - A(q)).  Requires a model exposing the vector potential
     and its Jacobian.  A batch solves its K systems in one stacked solve.
     """
+    if (out := _float_step(model, state, h, "em")) is not None:
+        return out
     _check_step(h)
     if not hasattr(model, "potential_and_jacobian"):
         raise TypeError("model does not expose a vector potential with Jacobian")
@@ -329,8 +325,7 @@ def integrate(
     """
     if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool) or steps < 0:
         raise ValueError(f"steps must be a non-negative integer, got {steps!r}")
-    if not isinstance(stride, (int, np.integer)) or isinstance(stride, bool) or stride < 1:
-        raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
+    _require_count("stride", stride)
     indices = []
     rows = []
     energies = []

@@ -1,9 +1,9 @@
 """Dense linear algebra for small phase-space matrices.
 
 Only what numpy does not already say in one call lives here: the checked
-solve, the transposed matrix-vector product, a real matrix applied to a
-complex step in real arithmetic, the canonical structure matrix, and a
-Frobenius norm.
+solve and its 3 x 3 form on Python floats, the transposed matrix-vector
+product, a real matrix applied to a complex step in real arithmetic, the
+canonical structure matrix, and a Frobenius norm.
 :func:`solve` also takes the complex steps of :mod:`sympdefect.autodiff`,
 so flows that solve a linear system can be differentiated with no solve
 rule of their own.  :func:`solve` and :func:`transposed_product` also
@@ -16,6 +16,7 @@ bitwise, what the call on that matrix alone gives it.
 from __future__ import annotations
 
 import cmath
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -53,6 +54,32 @@ def solve(a, b) -> np.ndarray:
     if a.ndim == 3:
         return np.linalg.solve(a, b.T[:, :, None])[:, :, 0].T
     return np.linalg.solve(a, b)
+
+
+def solve3(a: list, b: list) -> tuple:
+    """:func:`solve` on Python floats for a 3 x 3 list of rows a, with its
+    errors: Gaussian elimination with partial pivoting, the first largest
+    pivot leading as in LAPACK's LU, with no numpy dispatch to pay."""
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+    if not math.isfinite(a00 + a01 + a02 + a10 + a11 + a12 + a20 + a21 + a22):
+        _require_finite(np.array(a))  # the sum of finite entries may overflow
+    r0, r1, r2 = (a00, a01, a02, b[0]), (a10, a11, a12, b[1]), (a20, a21, a22, b[2])
+    if abs(a10) > abs(a00) and abs(a10) >= abs(a20):
+        r0, r1 = r1, r0
+    elif abs(a20) > max(abs(a00), abs(a10)):
+        r0, r2 = r2, r0
+    try:  # a zero pivot divides by zero
+        f1, f2 = r1[0] / r0[0], r2[0] / r0[0]
+        r1 = (r1[1] - f1 * r0[1], r1[2] - f1 * r0[2], r1[3] - f1 * r0[3])
+        r2 = (r2[1] - f2 * r0[1], r2[2] - f2 * r0[2], r2[3] - f2 * r0[3])
+        if abs(r2[0]) > abs(r1[0]):
+            r1, r2 = r2, r1
+        f = r2[0] / r1[0]
+        x2 = (r2[2] - f * r1[2]) / (r2[1] - f * r1[1])
+    except ZeroDivisionError:
+        raise np.linalg.LinAlgError("Singular matrix") from None
+    x1 = (r1[2] - r1[1] * x2) / r1[0]
+    return (r0[3] - r0[1] * x1 - r0[2] * x2) / r0[0], x1, x2
 
 
 def transposed_product(a: np.ndarray, x: np.ndarray) -> np.ndarray:

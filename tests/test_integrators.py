@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_defect import tokamak_cases
 
-from sympdefect.autodiff import STEP
-from sympdefect.defect import analyze
+from sympdefect.autodiff import STEP, jacobian
+from sympdefect.defect import analyze, flow_map
 from sympdefect.experiments import energy_drift_run
-from sympdefect.hamiltonians import quadratic_model
+from sympdefect.hamiltonians import TokamakModel, quadratic_model
 from sympdefect.integrators import (
     IntegrationError,
     NonFiniteIterateError,
@@ -172,6 +172,11 @@ def test_iterate_cascade_gains_one_order_per_sweep(tokamak, tokamak_state):
         assert abs(slope - n) < 0.2
 
 
+def _jt(jac, d):
+    """J^T d summed in the float kernel's order, J[0][k] d_0 + J[1][k] d_1 + J[2][k] d_2."""
+    return np.array([jac[0, k] * d[0] + jac[1, k] * d[1] + jac[2, k] * d[2] for k in range(3)])
+
+
 def test_tokamak_q_implicit_matches_literal_field_update(tokamak, tokamak_state):
     # the scheme written directly in terms of A and its Jacobian:
     # M position sweeps, then p + h J_A(q~)^T (p - A(q~))
@@ -181,10 +186,23 @@ def test_tokamak_q_implicit_matches_literal_field_update(tokamak, tokamak_state)
     for _ in range(m):
         qn = q + h * (p - tokamak.vector_potential(qn))
     pot, jac = tokamak.potential_and_jacobian(qn)
-    pt = p + h * (jac.T @ (p - pot))
+    pt = p + h * _jt(jac, p - pot)
     out = step_q_implicit(tokamak, tokamak_state, h, m)
     assert np.array_equal(out.q, qn)
     assert np.array_equal(out.p, pt)
+
+
+def test_tokamak_p_implicit_matches_literal_field_update(tokamak, tokamak_state):
+    # M momentum sweeps p + h J_A(q)^T (p_n - A(q)), then q + h (p~ - A(q))
+    h, m = 0.1, 3
+    q, p = tokamak_state.q, tokamak_state.p
+    pot, jac = tokamak.potential_and_jacobian(q)
+    pn = p
+    for _ in range(m):
+        pn = p + h * _jt(jac, pn - pot)
+    out = step_p_implicit(tokamak, tokamak_state, h, m)
+    assert np.array_equal(out.p, pn)
+    assert np.array_equal(out.q, q + h * (pn - pot))
 
 
 @pytest.mark.parametrize("m1,m2", [(1, 3), (2, 2)])
@@ -420,9 +438,10 @@ def _outcome(run):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(case=tokamak_cases(), blowup=st.sampled_from([0, 0, 100, 200, 300, 305, 306]))
 def test_float_position_sweeps_are_the_batch_column_bitwise(tokamak, tokamak_state, case, blowup):
-    # a float 3-vector's sweeps run on Python floats (TokamakModel.position_sweeps);
-    # a (3, 1) batch runs the numpy loop.  A step size scaled by 10^blowup
-    # makes the sweeps fail at some iterate, or the field there overflow
+    # a float 3-vector steps in the scalar kernel (TokamakModel.float_step),
+    # a (3, 1) batch steps its column there; position_iterates runs the numpy
+    # loop on both.  A step size scaled by 10^blowup makes the sweeps fail at
+    # some iterate, or the field there overflow
     position, factors, h, m = case
     h *= 10.0**blowup
     q, p = position / tokamak.scales.L0, factors * tokamak_state.p
@@ -461,6 +480,87 @@ def test_float_position_sweeps_fail_as_the_batch_column(momentum, h, failure, to
         want = _outcome(lambda: [x[:, 0] for x in position_iterates(tokamak, column, h, m)])
         assert _outcome(lambda: position_iterates(tokamak, vector, h, m)) == want
     assert want == (NonFiniteIterateError, failure)
+
+
+class NumpyTokamak(TokamakModel):
+    """The tokamak with no scalar kernel: its float steps run the numpy code."""
+
+    float_step = None
+
+
+# Bound fixed before the first run: the kernel sums J^T d in its own order
+# and solves em's system by its own elimination, a few ulp per operation.
+KERNEL_RTOL = 1e-12
+KERNEL_SCHEMES = [
+    SchemeConfig(Scheme.LINEAR_IMPLICIT_EM, 0.1),
+    SchemeConfig(Scheme.P_IMPLICIT, 0.1, M=3),
+    SchemeConfig(Scheme.Q_IMPLICIT, 0.1, M=3),
+]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(case=tokamak_cases())
+def test_float_kernel_step_matches_the_numpy_step(tokamak, tokamak_state, case):
+    position, factors, h, m = case
+    state = PhaseState(position / tokamak.scales.L0, factors * tokamak_state.p)
+    for config in KERNEL_SCHEMES:
+        step = config.scheme.step
+        got = step(tokamak, state, config, h).to_vector()
+        want = step(NumpyTokamak(), state, config, h).to_vector()
+        assert np.linalg.norm(got - want) <= KERNEL_RTOL * np.linalg.norm(want), config.scheme
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(case=tokamak_cases())
+def test_complex_pass_real_parts_are_the_float_step(tokamak, tokamak_state, case):
+    # the kernel sums J^T d in the order of numpy's stacked complex product,
+    # whose tangent cross terms underflow to 0, so the map a Jacobian
+    # differentiates is the float step bitwise; em's solve is not LAPACK's
+    position, factors, h, m = case
+    state = PhaseState(position / tokamak.scales.L0, factors * tokamak_state.p)
+    for scheme in SEPARABLE_SCHEMES:
+        config = SchemeConfig(scheme, h, M=m, M1=m, M2=5 - m)
+        passes = []
+
+        def recorded(z):
+            passes.append(flow_map(tokamak, config)(z))
+            return passes[-1]
+
+        jacobian(recorded, state.to_vector())
+        float_step = one_step(tokamak, config, state).to_vector()
+        assert np.array_equal(passes[0].real, np.repeat(float_step[:, None], 6, axis=1)), scheme
+
+
+@pytest.mark.parametrize(
+    "scheme, m, momentum, h, failure",
+    [
+        ("q-implicit", 1, [math.inf, 0.0, 0.0], 0.25, "non-finite position iterate 1"),
+        ("q-implicit", 3, "potential", 1e306, "non-finite position iterate 2"),
+        ("q-implicit", 1, "potential", 1e306, "non-finite updated momentum"),
+        ("p-implicit", 1, [math.inf, 0.0, 0.0], 0.25, "non-finite momentum iterate 1"),
+        ("p-implicit", 3, [1e300, 0.0, 0.0], 1e10, "non-finite momentum iterate 2"),
+        ("p-implicit", 1, [1e300, 0.0, 0.0], 1e10, "non-finite updated position"),
+        ("linear-implicit-em", None, [0.0, math.nan, 0.0], 0.25, "non-finite updated momentum"),
+    ],
+)
+def test_float_kernel_fails_as_the_numpy_step(scheme, m, momentum, h, failure, tokamak, tokamak_state):
+    q = tokamak_state.q
+    if momentum == "potential":  # A(q) but for 1e-304 in x: q_1 lies 100 L0 out
+        momentum = tokamak.vector_potential(q) + [1e-304, 0.0, 0.0]
+    p = np.array(momentum, dtype=float)
+    config = SchemeConfig(scheme, 0.1, M=m)
+    for model, state in ((NumpyTokamak(), PhaseState(q, p)), (tokamak, PhaseState(q, p)),
+                         (tokamak, PhaseState(q[:, None], p[:, None]))):
+        assert _outcome(lambda: [config.scheme.step(model, state, config, h).q]) == (
+            NonFiniteIterateError, failure)
+
+
+def test_float_kernel_em_rejects_a_non_finite_matrix(tokamak, tokamak_state):
+    # 0.5 m from the torus axis, h dA/dq overflows
+    state = PhaseState(np.array([0.5, 0.0, 0.1]) / tokamak.scales.L0, tokamak_state.p)
+    for model in (NumpyTokamak(), tokamak):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="matrix has non-finite entries"):
+            step_linear_implicit_em(model, state, 1e307)
 
 
 @pytest.mark.parametrize("n", [3, 8])

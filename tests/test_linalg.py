@@ -6,6 +6,7 @@ from sympdefect.linalg import (
     frobenius_norm,
     real_product,
     solve,
+    solve3,
     symplectic_matrix,
     transposed_product,
 )
@@ -191,3 +192,57 @@ def test_real_product_of_floats_is_the_plain_product():
             got = real_product(matrix, x)
             assert got.dtype == np.float64
             assert np.array_equal(got, matrix @ x)
+
+
+# solve3 is the same solve on Python floats for the float tokamak step.
+# Bound fixed before the first run: the matrices below have condition
+# numbers of a few, so elimination with pivoting lands within 1e-14 of
+# LAPACK, normwise relative.
+SOLVE3_RTOL = 1e-14
+
+
+def test_solve3_matches_lapack_on_matrices_that_need_row_swaps():
+    rng = np.random.default_rng(3)
+    swaps = [[1, 0, 2], [2, 1, 0], [1, 2, 0], [2, 0, 1], [0, 2, 1]]
+    for k in range(200):
+        # a diagonally dominant matrix with its rows permuted: pivoting must
+        # bring the dominant entries back, in both elimination steps
+        dominant = 3.0 * np.eye(3) + rng.uniform(-1.0, 1.0, (3, 3))
+        a = dominant[swaps[k % len(swaps)]]
+        b = rng.standard_normal(3)
+        want = np.linalg.solve(a, b)
+        got = np.array(solve3(a.tolist(), b.tolist()))
+        assert np.linalg.norm(got - want) <= SOLVE3_RTOL * np.linalg.norm(want)
+
+
+def test_solve3_is_exact_on_a_permutation():
+    a = [[0.0, 2.0, 0.0], [0.0, 0.0, 4.0], [8.0, 0.0, 0.0]]
+    assert solve3(a, [1.0, 2.0, 3.0]) == (0.375, 0.5, 0.5)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]],
+        [[0.0, 1.0, 2.0], [0.0, 3.0, 4.0], [0.0, 5.0, 6.0]],
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]],
+    ],
+    ids=["dependent-rows", "zero-column", "zero-last-pivot"],
+)
+def test_solve3_rejects_a_singular_matrix_as_lapack_does(a):
+    for run in (lambda: solve(np.array(a), np.ones(3)), lambda: solve3(a, [1.0, 1.0, 1.0])):
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            run()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solve3_rejects_non_finite_entries_as_solve_does(bad):
+    for i in range(9):
+        a = np.eye(3)
+        a.flat[i] = bad
+        for run in (lambda: solve(a, np.ones(3)), lambda: solve3(a.tolist(), [1.0, 1.0, 1.0])):
+            with pytest.raises(ValueError, match="matrix has non-finite entries"):
+                run()
+    # finite entries whose sum overflows are accepted
+    big = [[1e308, 1e308, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    assert solve3(big, [1e308, 1.0, 1.0]) == (0.0, 1.0, 1.0)
