@@ -58,19 +58,22 @@ def jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, copies: int 
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError("seed point must be a one-dimensional vector")
-    if not np.all(np.isfinite(x)):
+    # a Python sum is the cheap test; finite entries may overflow it, as in linalg.solve
+    if not math.isfinite(sum(x.tolist())) and not np.isfinite(x).all():
         raise NonFiniteError("seed point has non-finite entries")
     n = x.size
     seed = _seed(n) if copies is None else np.tile(_seed(n), copies)
     out = np.asarray(fn(seed + x[:, None]), dtype=complex)
     if out.ndim != 2 or out.shape[1] != seed.shape[1]:
         raise ValueError(f"map must return one column per input ({seed.shape[1]}), got shape {out.shape}")
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         jac = out.imag / STEP
-    bad = ~(np.isfinite(out) & np.isfinite(jac))
-    if bad.any():
-        i = int(np.argmax(bad.any(axis=1)))
-        raise NonFiniteError(f"non-finite value or derivative in output component {i}")
+        # two sums are the cheap test; finite entries may overflow them too
+        if not (math.isfinite(jac.sum()) and math.isfinite(out.real.sum())):
+            bad = ~(np.isfinite(out) & np.isfinite(jac))
+            if bad.any():
+                i = int(np.argmax(bad.any(axis=1)))
+                raise NonFiniteError(f"non-finite value or derivative in output component {i}")
     return jac if copies is None else jac.reshape(-1, copies, n).swapaxes(0, 1)
 
 

@@ -9,12 +9,15 @@ by complex-step forward AD (or finite differences, or closed-form
 recursions where available) and packages the block decomposition of J~.
 `defect_report` decomposes one Jacobian or a (K, 2N, 2N) stack of them
 with one body: a stack's figures are arrays over K, each bitwise what
-the report of that Jacobian alone gives.
+the report of that Jacobian alone gives.  The two determinants are
+computed on first read, since the block figures do not need them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -123,6 +126,7 @@ class DefectReport:
     carries the leading K axis on every array and every figure.
     """
 
+    dflow: np.ndarray
     structure: np.ndarray
     diag_q: np.ndarray
     diag_p: np.ndarray
@@ -132,8 +136,9 @@ class DefectReport:
     alpha: float
     deviations: dict[str, float]
     skew_residual: float
-    det_flow: float
-    det_antidiag: float
+    # det D and det P12, computed on first read
+    det_flow = cached_property(lambda self: np.linalg.det(self.dflow))
+    det_antidiag = cached_property(lambda self: np.linalg.det(self.antidiag))
 
     @property
     def volume_gap(self) -> float:
@@ -151,22 +156,27 @@ class DefectReport:
 def defect_report(dflow: np.ndarray, delta_block: str = "q") -> DefectReport:
     """Decompose J~ = D^T J D for a flow Jacobian D of even size 2N, or for
     each Jacobian of a (K, 2N, 2N) stack in the same numpy calls."""
-    dflow = np.asarray(dflow, dtype=float)
+    dflow = np.array(dflow, dtype=float)  # a copy, since the determinants read it later
     if dflow.ndim not in (2, 3) or dflow.shape[-1] != dflow.shape[-2] or dflow.shape[-1] % 2:
         raise ValueError(f"flow Jacobian must be square of even size, got shape {dflow.shape}")
     if delta_block not in ("q", "p"):
         raise ValueError(f"delta_block must be 'q' or 'p', got {delta_block!r}")
     n = dflow.shape[-1] // 2
     j = linalg.symplectic_matrix(n)
-    linalg._require_finite(dflow)
-    structure = dflow.swapaxes(-1, -2) @ j @ dflow
-    linalg._require_finite(structure)
+    with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf from a non-finite D
+        structure = dflow.swapaxes(-1, -2) @ j @ dflow
+        skew_residual = linalg.frobenius_norm(structure + structure.swapaxes(-1, -2))
+    # a non-finite D or J~ always leaves the skew residual non-finite
+    if not math.isfinite(sum(skew_residual.ravel().tolist())):
+        linalg._require_finite(dflow)
+        linalg._require_finite(structure)
     # the blocks P11, P12, P21, P22 of J~ - J, each less its target
     lead = dflow.shape[:-2]
     blocks = (structure - j).reshape(*lead, 2, n, 2, n).swapaxes(-3, -2).reshape(*lead, 4, n, n)
     deviations = dict(zip(("P11", "P12", "P21", "P22"), linalg.frobenius_norm(blocks).T))
     antidiag = structure[..., :n, n:]
     return DefectReport(
+        dflow=dflow,
         structure=structure,
         diag_q=structure[..., :n, :n],
         diag_p=structure[..., n:, n:],
@@ -175,9 +185,7 @@ def defect_report(dflow: np.ndarray, delta_block: str = "q") -> DefectReport:
         delta=deviations["P11" if delta_block == "q" else "P22"],
         alpha=deviations["P12"],
         deviations=deviations,
-        skew_residual=linalg.frobenius_norm(structure + structure.swapaxes(-1, -2)),
-        det_flow=np.linalg.det(dflow),
-        det_antidiag=np.linalg.det(antidiag),
+        skew_residual=skew_residual,
     )
 
 

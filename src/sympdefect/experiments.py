@@ -14,6 +14,7 @@ a windowed linear fit, not on |H - H0| alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -64,27 +65,33 @@ class FitResult:
 def loglog_fit(
     h_values, values, floor: float = MEASUREMENT_FLOOR
 ) -> FitResult | None:
-    """Fit value ~ amplitude * h^slope; None if fewer than 3 usable points."""
+    """Fit value ~ amplitude * h^slope, the least-squares line through the
+    centred logs on Python floats; None if fewer than 3 usable points."""
     h = np.asarray(h_values, dtype=float)
     v = np.asarray(values, dtype=float)
     if h.shape != v.shape or h.ndim != 1:
         raise ValueError("h_values and values must be equal-length vectors")
-    if not (np.all(np.isfinite(h)) and np.all(h > 0)):
+    h, v = h.tolist(), v.tolist()
+    if not all(0.0 < x < math.inf for x in h):
         raise ValueError("step sizes must be positive and finite")
-    if not (np.all(np.isfinite(v)) and np.all(v >= 0)):
+    if not all(0.0 <= y < math.inf for y in v):
         raise ValueError("values must be non-negative and finite")
-    keep = v >= floor
-    if int(keep.sum()) < 3:
+    logs = [(math.log(x), math.log(y)) for x, y in zip(h, v) if y >= floor]
+    if len(logs) < 3:
         return None
-    x = np.log(h[keep])
-    y = np.log(v[keep])
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
+    x, y = zip(*logs)
+    k = len(x)
+    x_mean, y_mean = math.fsum(x) / k, math.fsum(y) / k
+    dx, dy = [a - x_mean for a in x], [b - y_mean for b in y]
+    spread = math.fsum(a * a for a in dx)
+    if spread == 0.0:
+        raise ValueError("the points above the floor need at least two distinct step sizes")
+    slope = math.fsum(a * b for a, b in zip(dx, dy)) / spread
     return FitResult(
-        slope=float(slope),
-        amplitude=float(np.exp(intercept)),
-        rms_residual=float(np.sqrt(np.mean(resid**2))),
-        points_used=int(keep.sum()),
+        slope=slope,
+        amplitude=math.exp(y_mean - slope * x_mean),
+        rms_residual=math.sqrt(math.fsum((b - slope * a) ** 2 for a, b in zip(dx, dy)) / k),
+        points_used=k,
     )
 
 

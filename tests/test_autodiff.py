@@ -160,6 +160,25 @@ def test_jacobian_rejects_non_finite_output():
         jacobian(lambda z: z * 1e200 * 1e200, np.array([1e-300]))
 
 
+def test_jacobian_accepts_finite_values_whose_sums_overflow():
+    # the cheap tests sum the seed point, the tangents and the real parts;
+    # finite entries whose sum overflows pass, with no warning
+    x = np.array([1e308, 1e308])
+    assert np.array_equal(jacobian(lambda z: z, x), np.eye(2))
+    got = jacobian(lambda z: [1e308 * z[0], 1e308 * z[1]], np.zeros(2))
+    assert np.array_equal(got, 1e308 * np.eye(2))
+    got = jacobian(lambda z: [1e308 * (z[0] + z[1]), z[1] - z[0]], np.zeros(2), copies=2)
+    assert np.array_equal(got, np.array([[[1e308, 1e308], [-1.0, 1.0]]] * 2))
+
+
+def test_jacobian_names_the_component_when_infinities_cancel_in_a_sum():
+    # +inf and -inf tangents sum to nan; the check still names component 0
+    with pytest.raises(NonFiniteError, match="component 0"):
+        jacobian(lambda z: [z[0] * 1e200 * 1e200, -z[0] * 1e200 * 1e200], np.array([1e-300]))
+    with pytest.raises(NonFiniteError, match="component 1"):
+        jacobian(lambda z: [z[0], [complex(math.inf, 0.0), complex(-math.inf, 0.0)]], np.array([1.0, 2.0]))
+
+
 def test_finite_difference_identity():
     got = finite_difference_jacobian(lambda z: z, np.array([0.2, -1.4, 3.0]))
     np.testing.assert_allclose(got, np.eye(3), atol=1e-10)

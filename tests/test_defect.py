@@ -104,6 +104,48 @@ def test_report_validation():
         defect_report(stack)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_report_rejects_any_non_finite_jacobian_entry(bad):
+    # a non-finite D reaches J~ and its skew residual wherever it sits, and
+    # the report fails with the exact check's error and no numpy warning
+    for index in np.ndindex(4, 4):
+        dflow = np.eye(4)
+        dflow[index] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            defect_report(dflow)
+        stack = np.stack([np.eye(4), dflow])
+        with pytest.raises(ValueError, match="non-finite"):
+            defect_report(stack)
+    # a finite D whose J~ overflows fails the same way
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        defect_report(1e200 * np.eye(4))
+
+
+def test_report_determinants_are_computed_on_first_read(monkeypatch, tokamak, tokamak_state):
+    calls = []
+    det = np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda a: calls.append(a.shape) or det(a))
+    configs = SCHEME_GRIDS[Scheme.Q_IMPLICIT]
+    dflows = np.array([flow_jacobian_ad(tokamak, c, tokamak_state) for c in configs])
+    reports = [defect_report(dflows)] + [defect_report(d) for d in dflows]
+    for rep in reports:
+        rep.delta, rep.alpha, rep.skew_residual, rep.deviations, rep.antidiag
+    assert calls == []
+    # read once each, from the stored D and P12, bitwise numpy's own forms;
+    # a copy of D, so a caller reusing its array leaves them as they were
+    stacked, singles = reports[0], reports[1:]
+    dflows[:] = np.nan
+    for rep in reports:
+        for _ in range(2):
+            rep.volume_gap, rep.volume_defect
+    assert len(calls) == 2 * len(reports)
+    n = tokamak.dim
+    for k, one in enumerate(singles):
+        dflow = flow_jacobian_ad(tokamak, configs[k], tokamak_state)
+        assert one.det_flow == det(dflow) == stacked.det_flow[k]
+        assert one.det_antidiag == det(one.structure[:n, n:]) == stacked.det_antidiag[k]
+
+
 # every scheme over a small grid, on each model that supports it
 SCHEME_GRIDS = {
     scheme: [

@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 
@@ -52,6 +53,32 @@ def test_loglog_fit_validation():
         loglog_fit([0.1, -0.2, 0.3], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         loglog_fit([0.1, 0.2, 0.3], [1.0, -2.0, 3.0])
+
+
+def test_loglog_fit_needs_two_distinct_step_sizes():
+    with pytest.raises(ValueError, match="two distinct step sizes"):
+        loglog_fit([0.1, 0.1, 0.1], [1.0, 2.0, 3.0])
+    # the points above the floor decide, not the whole series
+    with pytest.raises(ValueError, match="two distinct step sizes"):
+        loglog_fit([0.1, 0.1, 0.1, 0.2], [1.0, 2.0, 3.0, 1e-16])
+    assert loglog_fit([0.1, 0.1, 0.2], [1.0, 2.0, 3.0]).points_used == 3
+
+
+def test_loglog_fit_is_the_least_squares_line():
+    # the closed-form line against np.polyfit on noisy power laws
+    rng = np.random.default_rng(20261019)
+    for _ in range(200):
+        count = int(rng.integers(3, 12))
+        h = np.sort(rng.uniform(1e-3, 0.5, count))
+        v = rng.uniform(1e-6, 10.0) * h ** rng.uniform(0.5, 6.0) * np.exp(0.1 * rng.standard_normal(count))
+        fit = loglog_fit(h, v, floor=0.0)
+        x, y = np.log(h), np.log(v)
+        slope, intercept = np.polyfit(x, y, 1)
+        assert abs(fit.slope - slope) <= 1e-12
+        assert abs(math.log(fit.amplitude) - intercept) <= 1e-10
+        rms = np.sqrt(np.mean((y - (slope * x + intercept)) ** 2))
+        assert abs(fit.rms_residual - rms) <= 1e-12
+        assert fit.points_used == count
 
 
 def test_default_grid_shape():
