@@ -241,11 +241,8 @@ def cmd_trajectory(cfg: argparse.Namespace) -> int:
         + [f"p{i + 1}" for i in range(n)]
         + ["H"]
     )
-    rows = []
-    for i, k in enumerate(traj.step_indices):
-        rows.append(
-            [int(k), traj.times[i], *traj.states[i], traj.energies[i]]
-        )
+    rows = [[k, t, *z, e] for k, t, z, e in zip(traj.step_indices.tolist(), traj.times.tolist(),
+                                                 traj.states.tolist(), traj.energies.tolist())]
     _write_csv(cfg.out, header, rows)
     return 0
 
@@ -317,8 +314,8 @@ def cmd_energy_drift(cfg: argparse.Namespace) -> int:
     series = energy_drift_run(model, configs, state, steps, stride)
     rows = []
     for s in series:
-        for i, k in enumerate(s.step_indices):
-            rows.append([s.scheme.value, s.m, int(k), s.times[i], s.errors[i]])
+        columns = zip(s.step_indices.tolist(), s.times.tolist(), s.errors.tolist())
+        rows += [[s.scheme.value, s.m, k, t, e] for k, t, e in columns]
     _write_csv(cfg.out, ["scheme", "M", "step", "t", "abs_energy_error"], rows)
     for s in series:
         flag = " (stopped early: blow-up)" if s.blown_up else ""
@@ -409,18 +406,9 @@ def cmd_selftest(cfg: argparse.Namespace) -> int:
 # -- argument parsing -----------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="key = value settings file")
-    for key, setting in SETTINGS.items():
-        help_text = setting.help
-        if setting.default is not None:
-            help_text += f" (default: {setting.default})"
-        common.add_argument(
-            setting.flag, dest=key, type=setting.type, choices=setting.choices or None,
-            help=help_text,
-        )
-
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser; --config and SETTINGS go on the subcommand `argv` names, or on all if None."""
+    invoked = None if argv is None else next((a for a in argv if not a.startswith("-")), "")
     parser = argparse.ArgumentParser(
         prog="sympdefect",
         description="Block-structured symplectic defect measurements for "
@@ -438,14 +426,20 @@ def build_parser() -> argparse.ArgumentParser:
         ("selftest", cmd_selftest,
          "gate lines of acceptance criteria 1-9 and 11 (criterion 10 needs pytest or energy-drift)"),
     ):
-        p = sub.add_parser(name, parents=[common], help=desc, description=desc)
+        p = sub.add_parser(name, help=desc, description=desc)
         p.set_defaults(func=func)
+        if invoked in (None, name):
+            p.add_argument("--config", metavar="PATH", help="key = value settings file")
+            for key, setting in SETTINGS.items():
+                default = "" if setting.default is None else f" (default: {setting.default})"
+                p.add_argument(setting.flag, dest=key, type=setting.type,
+                               choices=setting.choices or None, help=setting.help + default)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(resolve_config(args))
     except ConfigError as exc:

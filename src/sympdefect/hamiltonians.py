@@ -54,6 +54,13 @@ def _finite(values: tuple, label: str, n: int = 0) -> tuple:
     return values
 
 
+def _plus_jt(c: tuple, h: float, field: list, dx: float, dy: float, dz: float) -> tuple:
+    """c + h J^T d, J = dA/dq from a `_field` list, summed as J[0][k] d_0 + J[1][k] d_1 + J[2][k] d_2."""
+    return (c[0] + h * (field[3] * dx + field[6] * dy + field[9] * dz),
+            c[1] + h * (field[4] * dx + field[7] * dy + field[10] * dz),
+            c[2] + h * (field[5] * dx + field[8] * dy + field[11] * dz))
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Tokamak field and particle constants in SI units."""
@@ -426,30 +433,31 @@ class TokamakModel(HamiltonianModel):
         out.imag = slopes[0] + slopes[1] + slopes[2]
         return out
 
-    def float_step(self, side: str, q: list, p: list, h: float, m: int | None) -> tuple:
-        """One step on Python floats, (q~, p~) as 3-tuples: side "p" or "q" is p- or
-        q-implicit Euler with M sweeps (a position sweep is one `grad_p` call on
-        3-tuples), "em" linear-implicit-em.  Updates and checks are the numpy step's,
-        J^T d summed as J[0][k] d_0 + J[1][k] d_1 + J[2][k] d_2 (J = dA/dq), em solved by `solve3`."""
+    def float_step(self, side: str, q, p, h: float, m: int | None) -> tuple:
+        """One step on Python floats from 3-tuples (or lists) q, p to 3-tuples (q~, p~):
+        side "p" or "q" is p- or q-implicit Euler with M sweeps (a position sweep is one
+        `grad_p` call on 3-tuples), "em" linear-implicit-em.  Updates and checks are the
+        numpy step's, J^T d summed as in `_plus_jt` (J = dA/dq), em solved by `solve3`."""
         x, y, z = q = tuple(q)
         for n in range(1, m + 1 if side == "q" else 1):
             gx, gy, gz = self.grad_p(q, p)
-            q = _finite((x + h * gx, y + h * gy, z + h * gz), "position iterate", n)
-        ax, ay, az, j00, j01, j02, j10, j11, j12, j20, j21, j22 = self._field_at(q, 1)
-
-        def plus_jt(c, dx, dy, dz):  # c + h J^T d, bitwise c - h grad_q for d = p - A
-            return (c[0] + h * (j00 * dx + j10 * dy + j20 * dz), c[1] + h * (j01 * dx + j11 * dy + j21 * dz),
-                    c[2] + h * (j02 * dx + j12 * dy + j22 * dz))
-
+            q = (x + h * gx, y + h * gy, z + h * gz)
+            if not math.isfinite(q[0] + q[1] + q[2]):
+                _finite(q, "position iterate", n)
+        field = self._field_at(q, 1)
+        ax, ay, az = field[0], field[1], field[2]
         if side == "q":
-            return q, _finite(plus_jt(p, p[0] - ax, p[1] - ay, p[2] - az), "updated momentum")
+            return q, _finite(_plus_jt(p, h, field, p[0] - ax, p[1] - ay, p[2] - az), "updated momentum")
         pn = p
         for n in range(1, m + 1 if side == "p" else 1):
-            pn = _finite(plus_jt(p, pn[0] - ax, pn[1] - ay, pn[2] - az), "momentum iterate", n)
+            pn = _plus_jt(p, h, field, pn[0] - ax, pn[1] - ay, pn[2] - az)
+            if not math.isfinite(pn[0] + pn[1] + pn[2]):
+                _finite(pn, "momentum iterate", n)
         if side == "em":  # the rhs is p - h J^T A
+            j00, j01, j02, j10, j11, j12, j20, j21, j22 = field[3:12]
             lhs = [[1.0 - h * j00, -h * j10, -h * j20], [-h * j01, 1.0 - h * j11, -h * j21],
                    [-h * j02, -h * j12, 1.0 - h * j22]]
-            pn = _finite(solve3(lhs, plus_jt(p, -ax, -ay, -az)), "updated momentum")
+            pn = _finite(solve3(lhs, _plus_jt(p, h, field, -ax, -ay, -az)), "updated momentum")
         q = (x + h * (pn[0] - ax), y + h * (pn[1] - ay), z + h * (pn[2] - az))
         return _finite(q, "updated position"), pn
 

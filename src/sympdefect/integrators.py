@@ -12,6 +12,8 @@ steps each column as it would step that state alone, with a float step
 size h or one per column, h of shape (K,).  A model with a scalar kernel
 `float_step` (the tokamak) steps real float64 states there, a batch column
 by column; complex steps and the other models run the numpy code here.
+A single state comes back holding the kernel's float tuples (`PhaseState`), which the
+next step passes on: an orbit builds arrays only where it reads q or p, at its samples.
 """
 
 from __future__ import annotations
@@ -143,13 +145,19 @@ def _sweeps(update, start: np.ndarray, h, m: int, name: str) -> list[np.ndarray]
 
 
 def _float_step(model, state: PhaseState, h, side: str, m: int | None = None) -> PhaseState | None:
-    """`model.float_step` on a real float64 state, a batch column by column; None where it has none."""
-    q, p = state.q, state.p
-    if q.dtype.char != "d" or p.dtype.char != "d" or getattr(model, "float_step", None) is None:
+    """`model.float_step` on a real float64 state or a float-held one's tuples, a batch column by
+    column; None where it has none.  h and m get the full checks only if a type test fails."""
+    floats = state.floats
+    real = floats is not None or state.q.dtype.char == state.p.dtype.char == "d"
+    if not real or getattr(model, "float_step", None) is None:
         return None
-    _check_step(h)
-    if m is not None:
+    if not (type(h) is float and 0.0 <= h < math.inf):
+        _check_step(h)
+    if not (m is None or type(m) is int and m >= 1):
         _require_count("M", m)
+    if floats is not None:
+        return PhaseState(*model.float_step(side, *floats, h, m))
+    q, p = state.q, state.p
     if q.ndim == 1:
         return PhaseState(*model.float_step(side, q.tolist(), p.tolist(), h, m))
     hs = h.tolist() if isinstance(h, np.ndarray) else [h] * q.shape[1]
@@ -334,7 +342,7 @@ def integrate(
     with np.errstate(over="ignore", invalid="ignore"):
         for k, current, energy in orbit(model, config, state, steps, stride):
             indices.append(k)
-            rows.append(current.to_vector().astype(float))
+            rows.append(current.to_vector().astype(float, copy=False))
             energies.append(energy)
     idx = np.array(indices, dtype=int)
     return Trajectory(

@@ -132,5 +132,8 @@ def frobenius_norm(a: np.ndarray):
     bitwise its matrices' (``np.linalg.norm(axis=(-2, -1))``'s are not).
     """
     a = np.asarray(a, dtype=float)
+    if a.ndim == 2:  # one matrix: the same product, without the stack's reshapes
+        flat = a.ravel()
+        return np.sqrt(flat.dot(flat))
     flat = a.reshape(*a.shape[:-2], 1, -1)
     return np.sqrt((flat @ flat.swapaxes(-1, -2)).reshape(a.shape[:-2]))

@@ -531,18 +531,18 @@ def test_complex_pass_real_parts_are_the_float_step(tokamak, tokamak_state, case
         assert np.array_equal(passes[0].real, np.repeat(float_step[:, None], 6, axis=1)), scheme
 
 
-@pytest.mark.parametrize(
-    "scheme, m, momentum, h, failure",
-    [
-        ("q-implicit", 1, [math.inf, 0.0, 0.0], 0.25, "non-finite position iterate 1"),
-        ("q-implicit", 3, "potential", 1e306, "non-finite position iterate 2"),
-        ("q-implicit", 1, "potential", 1e306, "non-finite updated momentum"),
-        ("p-implicit", 1, [math.inf, 0.0, 0.0], 0.25, "non-finite momentum iterate 1"),
-        ("p-implicit", 3, [1e300, 0.0, 0.0], 1e10, "non-finite momentum iterate 2"),
-        ("p-implicit", 1, [1e300, 0.0, 0.0], 1e10, "non-finite updated position"),
-        ("linear-implicit-em", None, [0.0, math.nan, 0.0], 0.25, "non-finite updated momentum"),
-    ],
-)
+KERNEL_FAILURES = [
+    ("q-implicit", 1, [math.inf, 0.0, 0.0], 0.25, "non-finite position iterate 1"),
+    ("q-implicit", 3, "potential", 1e306, "non-finite position iterate 2"),
+    ("q-implicit", 1, "potential", 1e306, "non-finite updated momentum"),
+    ("p-implicit", 1, [math.inf, 0.0, 0.0], 0.25, "non-finite momentum iterate 1"),
+    ("p-implicit", 3, [1e300, 0.0, 0.0], 1e10, "non-finite momentum iterate 2"),
+    ("p-implicit", 1, [1e300, 0.0, 0.0], 1e10, "non-finite updated position"),
+    ("linear-implicit-em", None, [0.0, math.nan, 0.0], 0.25, "non-finite updated momentum"),
+]
+
+
+@pytest.mark.parametrize("scheme, m, momentum, h, failure", KERNEL_FAILURES)
 def test_float_kernel_fails_as_the_numpy_step(scheme, m, momentum, h, failure, tokamak, tokamak_state):
     q = tokamak_state.q
     if momentum == "potential":  # A(q) but for 1e-304 in x: q_1 lies 100 L0 out
@@ -697,3 +697,103 @@ def test_tokamak_orbit_stays_in_containment_box(tokamak, tokamak_state):
     assert np.max(np.abs(z)) <= 0.1
     err = np.abs(traj.energies - traj.energies[0])
     assert err.max() <= 1e-5
+
+
+def _held(state: PhaseState) -> PhaseState:
+    """The float-held twin of a float64 3-vector state, as the kernel returns it."""
+    return PhaseState(tuple(state.q.tolist()), tuple(state.p.tolist()))
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_float_held_state_steps_as_its_array_twin(scheme, tokamak, tokamak_state):
+    # five chained steps of single states, bitwise, and of their (3, K) batch
+    rng = np.random.default_rng(24)
+    k = 3
+    if scheme in EXACT_SCHEMES:
+        model = quadratic_model(3)
+        q, p = 0.5 * rng.standard_normal((2, 3, k))
+    else:
+        model = tokamak
+        q = tokamak_state.q[:, None] + 1e-3 * rng.standard_normal((3, k))
+        p = tokamak_state.p[:, None] * (1.0 + 0.05 * rng.standard_normal((3, k)))
+    config = SchemeConfig(scheme, 0.25, M=2, M1=1, M2=3)
+    batch = PhaseState(q, p)
+    twins = [PhaseState(q[:, c].copy(), p[:, c].copy()) for c in range(k)]
+    helds = [_held(z) for z in twins]
+    for _ in range(5):
+        batch = one_step(model, config, batch)
+        twins = [one_step(model, config, z) for z in twins]
+        helds = [one_step(model, config, z) for z in helds]
+        for c in range(k):
+            got, want = batch.to_vector()[:, c], twins[c].to_vector()
+            assert helds[c].to_vector().tobytes() == want.tobytes(), c
+            # a quadratic batch takes BLAS's matrix-matrix path (see above)
+            assert model is not tokamak or got.tobytes() == want.tobytes(), c
+    assert all(z.floats is not None for z in helds) == (model is tokamak)
+
+
+@pytest.mark.parametrize(
+    "scheme, m, momentum, h, failure",
+    KERNEL_FAILURES + [
+        ("q-implicit", 2, [0.0, 0.0, 0.0], -0.25, "step size must be non-negative and finite, got -0.25"),
+        ("q-implicit", 2, [0.0, 0.0, 0.0], math.nan, "step size must be non-negative and finite, got nan"),
+        ("p-implicit", 0, [0.0, 0.0, 0.0], 0.25, "M must be an integer >= 1, got 0"),
+        ("p-implicit", True, [0.0, 0.0, 0.0], 0.25, "M must be an integer >= 1, got True"),
+    ],
+)
+def test_float_held_state_fails_as_its_array_twin(scheme, m, momentum, h, failure, tokamak, tokamak_state):
+    q = tokamak_state.q
+    if momentum == "potential":  # A(q) but for 1e-304 in x: q_1 lies 100 L0 out
+        momentum = tokamak.vector_potential(q) + [1e-304, 0.0, 0.0]
+    twin = PhaseState(q, np.array(momentum, dtype=float))
+    step = {"q-implicit": step_q_implicit, "p-implicit": step_p_implicit}.get(scheme)
+    for state in (twin, _held(twin)):
+        if step is None:
+            run = lambda: [step_linear_implicit_em(tokamak, state, h).q]  # noqa: E731
+        else:
+            run = lambda: [step(tokamak, state, h, m).q]  # noqa: E731
+        assert _outcome(run) == (
+            NonFiniteIterateError if failure.startswith("non-finite") else ValueError, failure)
+
+
+def test_float_held_state_takes_numpy_scalar_steps_and_counts(tokamak, tokamak_state):
+    held = _held(tokamak_state)
+    want = step_sv_pq(tokamak, held, 0.25, 1, 3).to_vector().tobytes()
+    assert step_sv_pq(tokamak, held, np.float64(0.25), np.int64(1), np.int64(3)).to_vector().tobytes() == want
+    assert step_sv_pq(tokamak, tokamak_state, 0.25, 1, 3).to_vector().tobytes() == want
+
+
+def test_float_held_divergence_matches_the_array_orbit(tokamak, tokamak_state):
+    config = SchemeConfig(Scheme.Q_IMPLICIT, 0.25, M=1)
+    errors = []
+    for state in (tokamak_state, _held(tokamak_state)):
+        with pytest.raises(IntegrationError) as err:
+            energy_drift_run(tokamak, [config], state, steps=20_000, stride=20_000)
+        errors.append((err.value.step_index, str(err.value)))
+    assert errors[0] == errors[1] and errors[0][0] == 2234
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SchemeConfig(Scheme.LINEAR_IMPLICIT_EM, 0.25),
+        SchemeConfig(Scheme.Q_IMPLICIT, 0.25, M=2),
+        SchemeConfig(Scheme.SV_PQ, 0.25, M1=1, M2=3),
+    ],
+    ids=["linear-implicit-em", "q-implicit-M2", "sv-pq-1-3"],
+)
+def test_drift_run_builds_arrays_only_at_sampled_steps(config, tokamak, tokamak_state, monkeypatch):
+    # a float-held state's first q or p read builds its arrays; 2000 steps
+    # at stride 20 sample 100 states past the initial one
+    reads = []
+    held = type(PhaseState((0.0,), (0.0,)))  # the float form's class
+    convert = held.__getattr__
+
+    def counted(state, name):
+        reads.append(name)
+        return convert(state, name)
+
+    monkeypatch.setattr(held, "__getattr__", counted)
+    (series,) = energy_drift_run(tokamak, [config], tokamak_state, steps=2000, stride=20)
+    assert len(series.step_indices) == 101
+    assert len(reads) == 100

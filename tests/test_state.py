@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -61,3 +63,71 @@ def test_rejects_three_dimensional_input():
 def test_from_vector_rejects_odd_length_batch():
     with pytest.raises(ValueError):
         PhaseState.from_vector(np.zeros((5, 2)))
+
+
+def _held_and_twin():
+    q, p = (0.25, -1.5, 3.0e-7), (1.0e-3, 0.0, -2.5)
+    return PhaseState(q, p), PhaseState(np.array(q), np.array(p))
+
+
+def test_float_tuples_are_held_until_q_or_p_is_read():
+    held, twin = _held_and_twin()
+    assert held.floats == ((0.25, -1.5, 3.0e-7), (1.0e-3, 0.0, -2.5)) and twin.floats is None
+    # dim and to_vector read the tuples and leave them held
+    assert held.dim == twin.dim == 3
+    z = held.to_vector()
+    assert z.dtype == twin.to_vector().dtype and z.tobytes() == twin.to_vector().tobytes()
+    assert held.floats is not None
+    assert held.p.tobytes() == twin.p.tobytes() and held.p.dtype == np.float64
+    assert held.floats is None and held.q.tobytes() == twin.q.tobytes()
+    # read, it is a plain state, whose attribute reads pay for no __getattr__
+    assert type(held) is type(twin) is PhaseState and isinstance(_held_and_twin()[0], PhaseState)
+    # the dataclass form of repr, held or read
+    assert repr(_held_and_twin()[0]) == repr(held) == repr(twin) == f"PhaseState(q={twin.q!r}, p={twin.p!r})"
+
+
+def test_float_held_and_array_states_survive_pickling():
+    # grid_report(jobs=) sends states to worker processes
+    held, twin = _held_and_twin()
+    back = pickle.loads(pickle.dumps(held))
+    assert back.floats == held.floats
+    assert back.to_vector().tobytes() == twin.to_vector().tobytes()
+    assert back.q.tobytes() == twin.q.tobytes() and back.p.tobytes() == twin.p.tobytes()
+    again = pickle.loads(pickle.dumps(twin))
+    assert again.floats is None and again.to_vector().tobytes() == twin.to_vector().tobytes()
+    with pytest.raises(AttributeError, match="no attribute 'x'"):
+        back.x
+
+
+@pytest.mark.parametrize(
+    "q, p",
+    [
+        ((1, 2, 3), (4, 5, 6)),  # int tuples: int arrays
+        ((1.0, 2, 3), (4.0, 5, 6)),  # float, then ints: held, float arrays on read
+        ((1.0, 2.0), (3.0, 4.0 + 1.0j)),  # a complex tail: complex p on read
+        (((1.0, 2.0), (3.0, 4.0)), ((5.0, 6.0), (7.0, 8.0))),  # nested: a batch
+        ((), ()),
+    ],
+    ids=["ints", "float-then-ints", "complex-tail", "nested", "empty"],
+)
+def test_other_tuples_give_the_arrays_of_asarray(q, p):
+    st = PhaseState(q, p)
+    for got, want in ((st.q, np.asarray(q)), (st.p, np.asarray(p))):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert np.array_equal(st.to_vector(), np.concatenate([np.asarray(q), np.asarray(p)]))
+
+
+@pytest.mark.parametrize(
+    "q, p, message",
+    [
+        ((1.0, 2.0), (3.0,), "equal shapes, got \\(2,\\) and \\(1,\\)"),
+        ((1.0, 2), (3, 4, 5), "equal shapes"),
+        ((1.0, 2.0), ((3.0, 4.0), (5.0, 6.0)), "equal shapes, got \\(2,\\) and \\(2, 2\\)"),
+        ((((1.0,),),), (((1.0,),),), "vectors \\(N,\\) or batches \\(N, K\\)"),
+        ((1.0, 2.0), (), "equal shapes"),
+    ],
+)
+def test_tuples_that_are_not_float_pairs_fail_as_arrays_do(q, p, message):
+    with pytest.raises(ValueError, match=message):
+        PhaseState(q, p)
