@@ -23,9 +23,13 @@ complex step runs it on the real part, once per distinct real column, and
 takes its tangents from those derivatives (tangent-linear mode with the
 whole potential as one elemental function), so a complex-step pass costs
 one field evaluation per distinct position (one per step size in a grid
-pass).  Real float states step on Python floats (`TokamakModel.float_step`),
-summing J^T d in the order of a complex pass's real parts, which are thus
-the float step's bitwise but for em, whose complex pass solves with LAPACK."""
+pass).  Real float states step on Python floats (`TokamakModel.float_step`).
+A complex-step q-implicit or em step runs that step's own arithmetic once per
+distinct real column and carries its Jacobian beside it on 3 x 3 blocks of
+Python floats (`TokamakModel.linearized_step`, the whole step as one
+elemental function); a p-implicit step takes the numpy route, whose products
+sum J^T d in the kernel's order.  So the real parts of every complex-step pass
+are the float step's, bitwise, em included."""
 
 from __future__ import annotations
 
@@ -59,6 +63,61 @@ def _plus_jt(c: tuple, h: float, field: list, dx: float, dy: float, dz: float) -
     return (c[0] + h * (field[3] * dx + field[6] * dy + field[9] * dz),
             c[1] + h * (field[4] * dx + field[7] * dy + field[10] * dz),
             c[2] + h * (field[5] * dx + field[8] * dy + field[11] * dz))
+
+
+def _em_matrix(field: list, h: float) -> list:
+    """I - h J^T as 3 rows, J = dA/dq from a `_field` list: linear-implicit-em's system matrix."""
+    j00, j01, j02, j10, j11, j12, j20, j21, j22 = field[3:12]
+    return [[1.0 - h * j00, -h * j10, -h * j20], [-h * j01, 1.0 - h * j11, -h * j21],
+            [-h * j02, -h * j12, 1.0 - h * j22]]
+
+
+def _finite_step(q: tuple, p: tuple, qq: tuple, qp: tuple, pq: tuple, pp: tuple) -> tuple:
+    """(q, p, D) of a linearized step, D = [[qq, qp], [pq, pp]] from four 3 x 3 blocks as one
+    row-major 36-tuple; NonFiniteIterateError if an entry is not finite."""
+    jac = (qq[0:3] + qp[0:3] + qq[3:6] + qp[3:6] + qq[6:9] + qp[6:9]
+           + pq[0:3] + pp[0:3] + pq[3:6] + pp[3:6] + pq[6:9] + pp[6:9])
+    if not math.isfinite(sum(q) + sum(p) + sum(jac)):
+        _finite(q + p + jac, "linearized step")
+    return q, p, jac
+
+
+def _plus_diag(a: tuple, s: float) -> tuple:
+    """a + s I for a 3 x 3 matrix as a row-major 9-tuple."""
+    return (a[0] + s, a[1], a[2], a[3], a[4] + s, a[5], a[6], a[7], a[8] + s)
+
+
+def _scaled(a, s: float) -> tuple:
+    """s a for a 3 x 3 matrix as 9 row-major entries."""
+    a00, a01, a02, a10, a11, a12, a20, a21, a22 = a
+    return (s * a00, s * a01, s * a02, s * a10, s * a11, s * a12, s * a20, s * a21, s * a22)
+
+
+def _muladd(a: tuple, b: tuple, c: tuple = (0.0,) * 9) -> tuple:
+    """c + a b for 3 x 3 matrices as row-major 9-tuples."""
+    a00, a01, a02, a10, a11, a12, a20, a21, a22 = a
+    b00, b01, b02, b10, b11, b12, b20, b21, b22 = b
+    return (c[0] + (a00 * b00 + a01 * b10 + a02 * b20), c[1] + (a00 * b01 + a01 * b11 + a02 * b21),
+            c[2] + (a00 * b02 + a01 * b12 + a02 * b22), c[3] + (a10 * b00 + a11 * b10 + a12 * b20),
+            c[4] + (a10 * b01 + a11 * b11 + a12 * b21), c[5] + (a10 * b02 + a11 * b12 + a12 * b22),
+            c[6] + (a20 * b00 + a21 * b10 + a22 * b20), c[7] + (a20 * b01 + a21 * b11 + a22 * b21),
+            c[8] + (a20 * b02 + a21 * b12 + a22 * b22))
+
+
+def _kick_matrices(field: list, h: float, d0: float, d1: float, d2: float) -> tuple:
+    """The derivative of `_plus_jt`'s c + h J^T (x - A(q)) at d = x - A is dc + P dx + Q dq,
+    with P = h J^T and Q = h (G - J^T J), G = sum_i d_i d^2 A_i / dq^2: (P, Q) as row-major
+    9-tuples, from a `_field(..., 2)` list."""
+    j00, j01, j02, j10, j11, j12, j20, j21, j22 = field[3:12]
+    a, b, c = field[12:21], field[21:30], field[30:39]  # d^2 A_0, d^2 A_1, d^2 A_2 row-major
+    q00 = h * (d0 * a[0] + d1 * b[0] + d2 * c[0] - (j00 * j00 + j10 * j10 + j20 * j20))
+    q01 = h * (d0 * a[1] + d1 * b[1] + d2 * c[1] - (j00 * j01 + j10 * j11 + j20 * j21))
+    q02 = h * (d0 * a[2] + d1 * b[2] + d2 * c[2] - (j00 * j02 + j10 * j12 + j20 * j22))
+    q11 = h * (d0 * a[4] + d1 * b[4] + d2 * c[4] - (j01 * j01 + j11 * j11 + j21 * j21))
+    q12 = h * (d0 * a[5] + d1 * b[5] + d2 * c[5] - (j01 * j02 + j11 * j12 + j21 * j22))
+    q22 = h * (d0 * a[8] + d1 * b[8] + d2 * c[8] - (j02 * j02 + j12 * j12 + j22 * j22))
+    return ((h * j00, h * j10, h * j20, h * j01, h * j11, h * j21, h * j02, h * j12, h * j22),
+            (q00, q01, q02, q01, q11, q12, q02, q12, q22))
 
 
 @dataclass(frozen=True)
@@ -272,7 +331,8 @@ class TokamakModel(HamiltonianModel):
     derivatives of A are closed forms in F, its derivative f and f', so
     differentiating a flow never runs through F's closed form, whose
     branches and series loop are exact only in value.  Complex steps take
-    their values from the float body that `float_step` runs too; a position
+    their values from the float body that `float_step` runs too (q-implicit
+    and em steps from `float_step`'s arithmetic itself); a position
     whose radius r or flux F(r) overflows raises NonFiniteIterateError on
     both.  The Hessian blocks are closed forms from the same derivatives.
     """
@@ -291,6 +351,9 @@ class TokamakModel(HamiltonianModel):
         self._memo_field: list | None = None  # `_field`'s list, for a real 3-vector
         self._memo_pot: np.ndarray | None = None
         self._memo_jac: np.ndarray | None = None
+        # the field at the last input position of `linearized_step`, apart from the memo: a
+        # sweep over step sizes and sweep counts at one state reads it at every pass
+        self._memo_start: tuple = (None, None)
 
     def _field(self, x: float, y: float, z: float, order: int) -> list[float]:
         """A and its derivatives up to `order` (0, 1 or 2) at one dimensionless
@@ -362,9 +425,18 @@ class TokamakModel(HamiltonianModel):
     def _field_at(self, q: tuple, order: int) -> list[float]:
         """`_field` at a real position given as a 3-tuple, through the memo."""
         field = self._memo_field
-        if q != self._memo_key or order and len(field) == 3:
+        # an entry of order 0, 1 or 2 has 3, 12 or 39 entries
+        if q != self._memo_key or order and len(field) <= 9 * order:
             field = self._field(*q, order)
             self._memo_key, self._memo_field, self._memo_pot, self._memo_jac = q, field, None, None
+        return field
+
+    def _start_field(self, q: tuple, order: int) -> list[float]:
+        """`_field_at` for the input position of `linearized_step`, kept as `_memo_start`."""
+        key, field = self._memo_start
+        if q != key or len(field) <= 9 * order:
+            field = self._field_at(q, order)
+            self._memo_start = q, field
         return field
 
     def potential_and_jacobian(self, q: np.ndarray, with_jacobian: bool = True):
@@ -393,7 +465,7 @@ class TokamakModel(HamiltonianModel):
         field = self._field_at(key, order) if vector and type(key) is tuple else None
         # rows: A, then dA/dq row-major; one column per batch column
         if field is not None:
-            out = np.array(field)
+            out = np.array(field[:3 + 9 * order])
         elif q.dtype.kind != "c":
             out = self._fields(q.T.tolist(), order).T
         else:
@@ -454,12 +526,47 @@ class TokamakModel(HamiltonianModel):
             if not math.isfinite(pn[0] + pn[1] + pn[2]):
                 _finite(pn, "momentum iterate", n)
         if side == "em":  # the rhs is p - h J^T A
-            j00, j01, j02, j10, j11, j12, j20, j21, j22 = field[3:12]
-            lhs = [[1.0 - h * j00, -h * j10, -h * j20], [-h * j01, 1.0 - h * j11, -h * j21],
-                   [-h * j02, -h * j12, 1.0 - h * j22]]
-            pn = _finite(solve3(lhs, _plus_jt(p, h, field, -ax, -ay, -az)), "updated momentum")
+            (pn,) = solve3(_em_matrix(field, h), _plus_jt(p, h, field, -ax, -ay, -az))
+            _finite(pn, "updated momentum")
         q = (x + h * (pn[0] - ax), y + h * (pn[1] - ay), z + h * (pn[2] - az))
         return _finite(q, "updated position"), pn
+
+    def linearized_step(self, side: str, q, p, h: float, m: int | None) -> tuple:
+        """`float_step` of side "q" or "em" and its Jacobian: (q~, p~, D) with (q~, p~) by the
+        float step's own arithmetic, bitwise, and D = d(q~, p~)/d(q, p) as a row-major
+        36-tuple, the chain rule of that arithmetic carried on 3 x 3 blocks from iterate to
+        iterate (tangent-linear mode, with the whole step as one elemental function).
+        Position sweeps read `_field(..., 1)`, the closing update and em's system
+        `_field(..., 2)`; em solves for its value and for the inverse of its system matrix
+        with one `solve3` elimination.  Iterates are not checked: a non-finite value or
+        derivative reaches an output, which raises NonFiniteIterateError without naming it."""
+        x, y, z = q = tuple(q)
+        if side == "q":  # (dq_n/dq, dq_n/dp) = (I, h I) - h J(q_{n-1}) (dq_{n-1}/dq, dq_{n-1}/dp)
+            for n in range(m):
+                field = self._field_at(q, 1) if n else self._start_field(q, 1)
+                gx, gy, gz = p[0] - field[0], p[1] - field[1], p[2] - field[2]
+                step = _scaled(field[3:12], -h)
+                if n:
+                    qq, qp = _plus_diag(_muladd(step, qq), 1.0), _plus_diag(_muladd(step, qp), h)
+                else:  # from (I, 0)
+                    qq, qp = _plus_diag(step, 1.0), _plus_diag((0.0,) * 9, h)
+                q = (x + h * gx, y + h * gy, z + h * gz)
+            field = self._field_at(q, 2)
+            d0, d1, d2 = p[0] - field[0], p[1] - field[1], p[2] - field[2]
+            jt, coupling = _kick_matrices(field, h, d0, d1, d2)
+            pq, pp = _muladd(coupling, qq), _plus_diag(_muladd(coupling, qp, jt), 1.0)
+            return _finite_step(q, _plus_jt(p, h, field, d0, d1, d2), qq, qp, pq, pp)
+        # em: the system matrix L gives p~ and (dp~/dq, dp~/dp) = L^-1 (Q, I), Q at p~ - A
+        field = self._start_field(q, 2)
+        ax, ay, az = field[0], field[1], field[2]
+        pn, *columns = solve3(_em_matrix(field, h), _plus_jt(p, h, field, -ax, -ay, -az),
+                              (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+        pp = sum(zip(*columns), ())  # L^-1, from its columns
+        pq = _muladd(pp, _kick_matrices(field, h, pn[0] - ax, pn[1] - ay, pn[2] - az)[1])
+        q = (x + h * (pn[0] - ax), y + h * (pn[1] - ay), z + h * (pn[2] - az))
+        # (dq~/dq, dq~/dp) = (I + h (dp~/dq - J), h dp~/dp)
+        qq = _plus_diag(tuple(h * (b - a) for a, b in zip(field[3:12], pq)), 1.0)
+        return _finite_step(q, pn, qq, _scaled(pp, h), pq, pp)
 
     def vector_potential(self, q: np.ndarray) -> np.ndarray:
         return self.potential_and_jacobian(q, with_jacobian=False)[0]

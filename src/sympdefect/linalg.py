@@ -56,30 +56,41 @@ def solve(a, b) -> np.ndarray:
     return np.linalg.solve(a, b)
 
 
-def solve3(a: list, b: list) -> tuple:
+def solve3(a: list, *rhs) -> list:
     """:func:`solve` on Python floats for a 3 x 3 list of rows a, with its
     errors: Gaussian elimination with partial pivoting, the first largest
-    pivot leading as in LAPACK's LU, with no numpy dispatch to pay."""
+    pivot leading as in LAPACK's LU, with no numpy dispatch to pay.  One
+    elimination solves a x = b for every 3-sequence b of `rhs`; the
+    solutions come back in order, as 3-tuples."""
     (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
     if not math.isfinite(a00 + a01 + a02 + a10 + a11 + a12 + a20 + a21 + a22):
         _require_finite(np.array(a))  # the sum of finite entries may overflow
-    r0, r1, r2 = (a00, a01, a02, b[0]), (a10, a11, a12, b[1]), (a20, a21, a22, b[2])
+    # rows i0, i1, i2 of a are the pivot rows r0, r1, r2 of the elimination
+    i0, i1, i2, r0, r1, r2 = 0, 1, 2, (a00, a01, a02), (a10, a11, a12), (a20, a21, a22)
     if abs(a10) > abs(a00) and abs(a10) >= abs(a20):
-        r0, r1 = r1, r0
+        i0, i1, r0, r1 = 1, 0, r1, r0
     elif abs(a20) > max(abs(a00), abs(a10)):
-        r0, r2 = r2, r0
+        i0, i2, r0, r2 = 2, 0, r2, r0
     try:  # a zero pivot divides by zero
         f1, f2 = r1[0] / r0[0], r2[0] / r0[0]
-        r1 = (r1[1] - f1 * r0[1], r1[2] - f1 * r0[2], r1[3] - f1 * r0[3])
-        r2 = (r2[1] - f2 * r0[1], r2[2] - f2 * r0[2], r2[3] - f2 * r0[3])
+        r1 = (r1[1] - f1 * r0[1], r1[2] - f1 * r0[2])
+        r2 = (r2[1] - f2 * r0[1], r2[2] - f2 * r0[2])
         if abs(r2[0]) > abs(r1[0]):
-            r1, r2 = r2, r1
+            i1, i2, f1, f2, r1, r2 = i2, i1, f2, f1, r2, r1
         f = r2[0] / r1[0]
-        x2 = (r2[2] - f * r1[2]) / (r2[1] - f * r1[1])
+        pivot = r2[1] - f * r1[1]
+        if pivot == 0.0:
+            raise ZeroDivisionError
     except ZeroDivisionError:
         raise np.linalg.LinAlgError("Singular matrix") from None
-    x1 = (r1[2] - r1[1] * x2) / r1[0]
-    return (r0[3] - r0[1] * x1 - r0[2] * x2) / r0[0], x1, x2
+    solutions = []
+    for b in rhs:
+        b0 = b[i0]
+        b1, b2 = b[i1] - f1 * b0, b[i2] - f2 * b0
+        x2 = (b2 - f * b1) / pivot
+        x1 = (b1 - r1[1] * x2) / r1[0]
+        solutions.append(((b0 - r0[1] * x1 - r0[2] * x2) / r0[0], x1, x2))
+    return solutions
 
 
 def transposed_product(a: np.ndarray, x: np.ndarray) -> np.ndarray:

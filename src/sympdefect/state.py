@@ -1,8 +1,8 @@
 """Phase-space state container, and the error raised when a state leaves the
 finite range, shared by models, integrators and diagnostics.
 
-Two equal-length tuples led by Python floats (a scalar step kernel's output) are held in that
-float form for the next kernel step; q and p become arrays, by np.asarray, when first read.
+Two equal-length tuples of Python floats (a scalar step kernel's output) are held in that float
+form for the next kernel step; q and p become arrays, by np.asarray, when first read.
 """
 
 from __future__ import annotations
@@ -28,9 +28,10 @@ class PhaseState:
 
     __slots__ = ("q", "p", "floats")
 
-    def __init__(self, q, p) -> None:
-        if (type(q) is tuple and type(p) is tuple and len(q) == len(p) and q
-                and type(q[0]) is float and type(p[0]) is float):
+    def __init__(self, q, p, float_form: bool = False) -> None:
+        # `float_form`: the caller vouches for two equal-length tuples of Python floats
+        if float_form or (type(q) is tuple and type(p) is tuple and len(q) == len(p) and q
+                          and all(type(v) is float for v in q + p)):
             self.floats = q, p
             # only the float form has __getattr__, which slows every attribute read
             self.__class__ = _FloatHeld

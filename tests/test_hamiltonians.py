@@ -296,6 +296,19 @@ def test_float_path_memoizes_repeated_positions():
     assert pot3 is not pot1
 
 
+def test_field_memo_serves_an_entry_only_at_its_order(tokamak_state):
+    # an order-2 request after an order-1 entry at the same position refetches
+    model = TokamakModel()
+    q = tuple(tokamak_state.q.tolist())
+    assert len(model._field_at(q, 1)) == 12
+    second = model._field_at(q, 2)
+    assert len(second) == 39 and second == model._field(*q, 2)
+    assert model._field_at(q, 1) is second and len(model._field_at(q, 0)) == 39
+    # the arrays built from a higher-order entry keep their shapes
+    pot, jac = model.potential_and_jacobian(np.array(q))
+    assert pot.shape == (3,) and jac.shape == (3, 3)
+
+
 def _complex_step(q):
     return q + STEP * 1j
 

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_defect import tokamak_cases
 
-from sympdefect.autodiff import STEP, jacobian
-from sympdefect.defect import analyze, flow_map
+from sympdefect.autodiff import STEP, _seed, jacobian
+from sympdefect.defect import analyze, flow_jacobian_ad, flow_map
 from sympdefect.experiments import energy_drift_run
 from sympdefect.hamiltonians import TokamakModel, quadratic_model
 from sympdefect.integrators import (
@@ -513,12 +513,12 @@ def test_float_kernel_step_matches_the_numpy_step(tokamak, tokamak_state, case):
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(case=tokamak_cases())
 def test_complex_pass_real_parts_are_the_float_step(tokamak, tokamak_state, case):
-    # the kernel sums J^T d in the order of numpy's stacked complex product,
-    # whose tangent cross terms underflow to 0, so the map a Jacobian
-    # differentiates is the float step bitwise; em's solve is not LAPACK's
+    # q-side and em passes take their values from the float step's own arithmetic
+    # (TokamakModel.linearized_step); a p-side pass's numpy products have tangent
+    # cross terms that underflow to 0, and J^T d summed in the kernel's order
     position, factors, h, m = case
     state = PhaseState(position / tokamak.scales.L0, factors * tokamak_state.p)
-    for scheme in SEPARABLE_SCHEMES:
+    for scheme in SEPARABLE_SCHEMES + [Scheme.LINEAR_IMPLICIT_EM]:
         config = SchemeConfig(scheme, h, M=m, M1=m, M2=5 - m)
         passes = []
 
@@ -529,6 +529,39 @@ def test_complex_pass_real_parts_are_the_float_step(tokamak, tokamak_state, case
         jacobian(recorded, state.to_vector())
         float_step = one_step(tokamak, config, state).to_vector()
         assert np.array_equal(passes[0].real, np.repeat(float_step[:, None], 6, axis=1)), scheme
+
+
+# Bound fixed before the first run: the kernel's chain rule and the numpy route's
+# complex arithmetic take the same first-order terms, summed in other orders.
+KERNEL_JACOBIAN_RTOL = 1e-14
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(case=tokamak_cases())
+def test_kernel_jacobians_match_the_numpy_route(tokamak, tokamak_state, case):
+    position, factors, h, m = case
+    state = PhaseState(position / tokamak.scales.L0, factors * tokamak_state.p)
+    for scheme in SEPARABLE_SCHEMES + [Scheme.LINEAR_IMPLICIT_EM]:
+        config = SchemeConfig(scheme, h, M=m, M1=m, M2=5 - m)
+        got = flow_jacobian_ad(tokamak, config, state)
+        want = flow_jacobian_ad(NumpyTokamak(), config, state)
+        assert np.linalg.norm(got - want) <= KERNEL_JACOBIAN_RTOL * np.linalg.norm(want), scheme
+
+
+@pytest.mark.parametrize("scheme", [Scheme.Q_IMPLICIT, Scheme.LINEAR_IMPLICIT_EM, Scheme.SV_PQ, Scheme.SV_QP])
+def test_complex_batch_steps_each_column_as_it_steps_alone(scheme, tokamak, tokamak_state):
+    # four distinct states, then column 1 three times and column 0 again: a group
+    # per run of equal columns, and a group that recurs after another
+    rng = np.random.default_rng(25)
+    columns = [0, 1, 2, 3, 1, 1, 1, 0]
+    q = (tokamak_state.q[:, None] + 1e-3 * rng.standard_normal((3, 4)))[:, columns]
+    p = (tokamak_state.p[:, None] * (1.0 + 0.05 * rng.standard_normal((3, 4))))[:, columns]
+    dq, dp = STEP * rng.standard_normal((2, 3, len(columns)))
+    config = SchemeConfig(scheme, 0.1, M=2, M1=1, M2=3)
+    batch = scheme.step(tokamak, PhaseState(q + 1j * dq, p + 1j * dp), config, 0.1).to_vector()
+    for c in range(len(columns)):
+        alone = PhaseState(q[:, c] + 1j * dq[:, c], p[:, c] + 1j * dp[:, c])
+        assert batch[:, c].tobytes() == scheme.step(tokamak, alone, config, 0.1).to_vector().tobytes(), c
 
 
 KERNEL_FAILURES = [
@@ -553,6 +586,21 @@ def test_float_kernel_fails_as_the_numpy_step(scheme, m, momentum, h, failure, t
                          (tokamak, PhaseState(q[:, None], p[:, None]))):
         assert _outcome(lambda: [config.scheme.step(model, state, config, h).q]) == (
             NonFiniteIterateError, failure)
+
+
+@pytest.mark.parametrize("scheme, m, momentum, h, failure", KERNEL_FAILURES)
+def test_complex_pass_fails_as_the_numpy_route(scheme, m, momentum, h, failure, tokamak, tokamak_state):
+    # the seeded complex batch of a Jacobian pass, stepped on both routes
+    q = tokamak_state.q
+    if momentum == "potential":
+        momentum = tokamak.vector_potential(q) + [1e-304, 0.0, 0.0]
+    seeded = _seed(6) + np.concatenate([q, np.array(momentum, dtype=float)])[:, None]
+    config = SchemeConfig(scheme, 0.1, M=m)
+    numpy_route, kernel = (
+        _outcome(lambda: [config.scheme.step(model, PhaseState.from_vector(seeded), config, h).q])
+        for model in (NumpyTokamak(), tokamak)
+    )
+    assert kernel == numpy_route and numpy_route[0] is NonFiniteIterateError
 
 
 def test_float_kernel_em_rejects_a_non_finite_matrix(tokamak, tokamak_state):
@@ -754,6 +802,17 @@ def test_float_held_state_fails_as_its_array_twin(scheme, m, momentum, h, failur
             run = lambda: [step(tokamak, state, h, m).q]  # noqa: E731
         assert _outcome(run) == (
             NonFiniteIterateError if failure.startswith("non-finite") else ValueError, failure)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.Q_IMPLICIT, Scheme.P_IMPLICIT, Scheme.LINEAR_IMPLICIT_EM])
+def test_mixed_tuple_state_steps_as_its_array_twin(scheme, tokamak, tokamak_state):
+    # a complex entry after float ones: not the float form, so the numpy route
+    q, p = tuple(tokamak_state.q.tolist()), (float(tokamak_state.p[0]), 1j, 0.0)
+    mixed = PhaseState(q, p)
+    assert mixed.floats is None
+    config = SchemeConfig(scheme, 0.25, M=2)
+    want = one_step(tokamak, config, PhaseState(np.array(q), np.array(p))).to_vector()
+    assert one_step(tokamak, config, mixed).to_vector().tobytes() == want.tobytes()
 
 
 def test_float_held_state_takes_numpy_scalar_steps_and_counts(tokamak, tokamak_state):

@@ -211,13 +211,22 @@ def test_solve3_matches_lapack_on_matrices_that_need_row_swaps():
         a = dominant[swaps[k % len(swaps)]]
         b = rng.standard_normal(3)
         want = np.linalg.solve(a, b)
-        got = np.array(solve3(a.tolist(), b.tolist()))
-        assert np.linalg.norm(got - want) <= SOLVE3_RTOL * np.linalg.norm(want)
+        (got,) = solve3(a.tolist(), b.tolist())
+        assert np.linalg.norm(np.array(got) - want) <= SOLVE3_RTOL * np.linalg.norm(want)
+
+
+def test_solve3_solves_each_right_hand_side_as_alone():
+    # one elimination for several right-hand sides, each solution bitwise its own call's
+    rng = np.random.default_rng(25)
+    a = (3.0 * np.eye(3) + rng.uniform(-1.0, 1.0, (3, 3)))[[2, 0, 1]].tolist()
+    rhs = rng.standard_normal((4, 3)).tolist()
+    assert solve3(a, *rhs) == [solve3(a, b)[0] for b in rhs]
+    assert solve3(a) == []
 
 
 def test_solve3_is_exact_on_a_permutation():
     a = [[0.0, 2.0, 0.0], [0.0, 0.0, 4.0], [8.0, 0.0, 0.0]]
-    assert solve3(a, [1.0, 2.0, 3.0]) == (0.375, 0.5, 0.5)
+    assert solve3(a, [1.0, 2.0, 3.0]) == [(0.375, 0.5, 0.5)]
 
 
 @pytest.mark.parametrize(
@@ -245,4 +254,4 @@ def test_solve3_rejects_non_finite_entries_as_solve_does(bad):
                 run()
     # finite entries whose sum overflows are accepted
     big = [[1e308, 1e308, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-    assert solve3(big, [1e308, 1.0, 1.0]) == (0.0, 1.0, 1.0)
+    assert solve3(big, [1e308, 1.0, 1.0]) == [(0.0, 1.0, 1.0)]

@@ -103,8 +103,8 @@ def test_float_held_and_array_states_survive_pickling():
     "q, p",
     [
         ((1, 2, 3), (4, 5, 6)),  # int tuples: int arrays
-        ((1.0, 2, 3), (4.0, 5, 6)),  # float, then ints: held, float arrays on read
-        ((1.0, 2.0), (3.0, 4.0 + 1.0j)),  # a complex tail: complex p on read
+        ((1.0, 2, 3), (4.0, 5, 6)),  # float, then ints: float arrays
+        ((1.0, 2.0), (3.0, 4.0 + 1.0j)),  # a complex tail: complex p
         (((1.0, 2.0), (3.0, 4.0)), ((5.0, 6.0), (7.0, 8.0))),  # nested: a batch
         ((), ()),
     ],
@@ -116,6 +116,17 @@ def test_other_tuples_give_the_arrays_of_asarray(q, p):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
     assert np.array_equal(st.to_vector(), np.concatenate([np.asarray(q), np.asarray(p)]))
+
+
+@pytest.mark.parametrize(
+    "q, p",
+    [((1.0, 2, 3), (4.0, 5.0, 6.0)), ((1.0, 2.0), (3.0, 4.0 + 1.0j)), ((1.0, 2.0), (3.0, np.float64(4.0)))],
+    ids=["int-tail", "complex-tail", "numpy-scalar-tail"],
+)
+def test_only_tuples_of_python_floats_are_held(q, p):
+    # the float form is taken only when every entry is a Python float
+    assert PhaseState(q, p).floats is None
+    assert PhaseState(tuple(map(float, q)), tuple(map(float, np.real(p)))).floats is not None
 
 
 @pytest.mark.parametrize(
