@@ -154,7 +154,7 @@ def defect_sweep(
             f"{scheme.value} is a composition; measure its blocks with sv_block_orders"
         )
     h_values = np.asarray(h_values, dtype=float)
-    m_list = [int(m) for m in m_values] if scheme.counts else [None]
+    m_list = [_require_count("M", m) for m in m_values] if scheme.counts else [None]
     configs = [SchemeConfig(scheme, float(h), M=m) for m in m_list for h in h_values]
     report = grid_report(model, configs, state, jobs)
     columns = {

@@ -19,11 +19,11 @@ and the tokamak potential also take batches (N, K) with a trailing batch
 axis, so one step, and one forward-mode pass, covers K states; `value` and
 `energy` take single states only.  The tokamak potential has one float
 body, which returns A, dA/dq and, on request, the Hessians of A.  A
-complex step runs it on the real part, once per distinct real column, and
-takes its tangents from those derivatives (tangent-linear mode with the
-whole potential as one elemental function), so a complex-step pass costs
-one field evaluation per distinct position (one per step size in a grid
-pass).  Real float states step on Python floats (`TokamakModel.float_step`).
+complex step runs it on the real part, through one cache keyed on position
+value (0.0 and -0.0 are one position), so once per distinct position of a
+pass, and takes its tangents from those derivatives (tangent-linear mode
+with the whole potential as one elemental function).  Real float states
+step on Python floats (`TokamakModel.float_step`), through a one-entry memo.
 A complex-step q-implicit or em step runs that step's own arithmetic once per
 distinct real column and carries its Jacobian beside it on 3 x 3 blocks of
 Python floats (`TokamakModel.linearized_step`, the whole step as one
@@ -39,12 +39,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import jacobian
-from .linalg import _check_square, real_product, solve3, transposed_product
+from .linalg import _check_square, _require_finite, real_product, solve3, transposed_product
 from .state import NonFiniteIterateError, PhaseState
 
 # Positions closer to the torus axis than this fraction of R are rejected
 # because the potential has a genuine singularity at rho = 0.
 AXIS_TOLERANCE = 1e-9
+
+# Positions the complex-step pass cache holds before it is emptied: one state's default-grid
+# traffic measured 31 for q-implicit M=1..3 and 81 for every scheme; a 50-h grid's 151 empties it.
+PASS_POSITIONS = 128
 
 
 class AxisSingularityError(ValueError):
@@ -280,7 +284,11 @@ class QuadraticModel(HamiltonianModel):
     """
 
     def __init__(self, coupling: np.ndarray):
+        """Keeps C as a read-only float64 copy; ValueError if C is not square or not finite."""
+        coupling = np.array(coupling, dtype=float)
         self.dim = _check_square(coupling, "coupling")
+        _require_finite(coupling)
+        coupling.setflags(write=False)
         self.coupling = coupling
 
     def value(self, q, p):
@@ -345,15 +353,11 @@ class TokamakModel(HamiltonianModel):
         par, s = self.params, self.scales
         # the float body's constants: B0, R, a, L0, 1 / A0 and L0 / A0
         self._constants = (par.B0, par.R, par.a, s.L0, 1.0 / s.A0, s.L0 / s.A0)
-        # one-entry memo, shared by the float kernel and the arrays: sweeps,
-        # adjacent steps and sampled energies revisit the same position
-        self._memo_key: bytes | tuple | None = None
-        self._memo_field: list | None = None  # `_field`'s list, for a real 3-vector
-        self._memo_pot: np.ndarray | None = None
-        self._memo_jac: np.ndarray | None = None
-        # the field at the last input position of `linearized_step`, apart from the memo: a
-        # sweep over step sizes and sweep counts at one state reads it at every pass
-        self._memo_start: tuple = (None, None)
+        # the float kernel's memo (position, `_field` list) holds one entry: sweeps, adjacent
+        # steps and sampled energies revisit only the last position
+        self._memo: tuple = (None, None)
+        self._arrays: tuple = (None, None, None)  # `potential_and_jacobian`'s last (key, A, dA/dq)
+        self._passes: dict[tuple, list] = {}  # the complex-step passes' position -> `_field` list
 
     def _field(self, x: float, y: float, z: float, order: int) -> list[float]:
         """A and its derivatives up to `order` (0, 1 or 2) at one dimensionless
@@ -423,83 +427,71 @@ class TokamakModel(HamiltonianModel):
         return out
 
     def _field_at(self, q: tuple, order: int) -> list[float]:
-        """`_field` at a real position given as a 3-tuple, through the memo."""
-        field = self._memo_field
+        """`_field` at a real position given as a 3-tuple, through the float kernel's memo."""
+        key, field = self._memo
         # an entry of order 0, 1 or 2 has 3, 12 or 39 entries
-        if q != self._memo_key or order and len(field) <= 9 * order:
+        if q != key or order and len(field) <= 9 * order:
             field = self._field(*q, order)
-            self._memo_key, self._memo_field, self._memo_pot, self._memo_jac = q, field, None, None
+            self._memo = q, field
         return field
 
-    def _start_field(self, q: tuple, order: int) -> list[float]:
-        """`_field_at` for the input position of `linearized_step`, kept as `_memo_start`."""
-        key, field = self._memo_start
-        if q != key or len(field) <= 9 * order:
-            field = self._field_at(q, order)
-            self._memo_start = q, field
+    def _pass_field(self, q: tuple, order: int) -> list[float]:
+        """`_field` at a complex-step pass's position q (a 3-tuple) through the pass cache, whose
+        entries hold the highest order asked there; it is emptied at PASS_POSITIONS entries."""
+        field = self._passes.get(q)
+        if field is None or len(field) <= 9 * order:
+            if len(self._passes) >= PASS_POSITIONS:
+                self._passes.clear()
+            field = self._passes[q] = self._field(*q, order)
         return field
 
     def potential_and_jacobian(self, q: np.ndarray, with_jacobian: bool = True):
         """Dimensionless A(q) and optionally its Jacobian dA/dq.
 
-        Float positions run the float body `_field` once per column.  A
-        complex position x + i t is a complex step: its real part runs the
-        float body, once per distinct real column (one per state and step
-        size of a complex-step pass), and the tangents are the exact first-order
-        products dA/dq t and (d^2 A/dq^2) t, each summed in one fixed order
-        per column.  Real parts are therefore bitwise the float body's.  For
-        a batch q of shape (3, K), A has shape (3, K) and dA/dq shape
-        (3, 3, K).  The arrays returned are read-only.  One input is
-        memoised, in the memo `float_step` shares: a real 3-vector keyed on
-        its values (0.0 and -0.0 are one position), a complex one on its
-        bytes, a batch on its shape, dtype and bytes (a float (3, 2) batch
+        Float positions run the float body `_field` once per column, a real
+        3-vector through the float kernel's memo.  A complex position x + i t
+        is a complex step: its real part runs the float body, through the
+        pass cache (once per distinct position of a complex-step pass), and
+        the tangents are the exact first-order products dA/dq t and
+        (d^2 A/dq^2) t, each summed in one fixed order per column.  Real
+        parts are therefore bitwise the float body's.  For a batch q of
+        shape (3, K), A has shape (3, K) and dA/dq shape (3, 3, K).  The
+        arrays returned are read-only.  The last input's arrays are kept:
+        a real 3-vector keyed on its values (0.0 and -0.0 are one position),
+        any other input on its shape, dtype and bytes (a float (3, 2) batch
         and a complex 3-vector can have the same bytes).
         """
-        vector = q.ndim == 1
-        key = ((q.tobytes() if q.dtype.kind == "c" else tuple(q.tolist())) if vector
-               else (q.shape, q.dtype.char, q.tobytes()))
-        pot, jac = self._memo_pot, self._memo_jac
-        if key == self._memo_key and pot is not None and (jac is not None or not with_jacobian):
+        real = q.dtype.kind != "c"
+        key = tuple(q.tolist()) if real and q.ndim == 1 else (q.shape, q.dtype.char, q.tobytes())
+        last, pot, jac = self._arrays
+        if key == last and (jac is not None or not with_jacobian):
             return pot, (jac if with_jacobian else None)
         order = 1 if with_jacobian else 0
-        field = self._field_at(key, order) if vector and type(key) is tuple else None
         # rows: A, then dA/dq row-major; one column per batch column
-        if field is not None:
-            out = np.array(field[:3 + 9 * order])
-        elif q.dtype.kind != "c":
-            out = self._fields(q.T.tolist(), order).T
+        if not real:
+            out = self._complex_step(q.reshape(3, -1), order).reshape(-1, *q.shape[1:])
+        elif q.ndim == 1:
+            out = np.array(self._field_at(key, order)[:3 + 9 * order])
         else:
-            out = self._complex_step(q[:, None] if vector else q, order)
-            if vector:
-                out = out[:, 0]
+            out = np.array(list(map(self._field, *q.tolist(), [order] * q.shape[1]))).T
         out.setflags(write=False)
-        pot, jac = out[:3], (out[3:].reshape(3, 3, *out.shape[1:]) if len(out) > 3 else None)
-        self._memo_key, self._memo_field, self._memo_pot, self._memo_jac = key, field, pot, jac
+        pot, jac = out[:3], (out[3:].reshape(3, 3, *out.shape[1:]) if order else None)
+        self._arrays = key, pot, jac
         return pot, (jac if with_jacobian else None)
-
-    def _fields(self, columns: list, order: int) -> np.ndarray:
-        """`_field` at each [x, y, z] of `columns`, one row per position."""
-        # a comprehension in potential_and_jacobian would make self a closure
-        # cell there, a cost its memo hits would pay on every call
-        return np.array([self._field(x, y, z, order) for x, y, z in columns])
 
     def _complex_step(self, q: np.ndarray, order: int) -> np.ndarray:
         """The rows of `_field(order)` for a complex (3, K) batch: values from
-        the float body, run once per distinct real column (bytes compared,
-        so signed zeros count), and tangents as first-order products summed
-        in one fixed order per column."""
+        the float body, read from the pass cache once per column (once for a
+        one-state pass, whose columns have equal real bytes), and tangents as
+        first-order products summed in one fixed order per column."""
         real = q.real.T
         raw, columns = real.tobytes(), real.tolist()
         if raw == raw[:24] * len(columns):  # one state's pass: its row broadcasts
-            fields = self._fields(columns[:1], order + 1)
-        else:
-            slots: dict[bytes, int] = {}
-            index = [slots.setdefault(raw[k:k + 24], len(slots)) for k in range(0, len(raw), 24)]
-            distinct = np.frombuffer(b"".join(slots)).reshape(-1, 3).tolist()
-            fields = self._fields(distinct, order + 1)[index]
+            columns = columns[:1]
         # entry 3 + 3 r + l of a field is the derivative of its entry r along q_l
         rows = 3 + 9 * order
-        slopes = fields[:, 3:3 + 3 * rows].reshape(-1, rows, 3).T * q.imag[:, None, :]
+        fields = np.array([self._pass_field(tuple(c), order + 1)[:3 + 3 * rows] for c in columns])
+        slopes = fields[:, 3:].reshape(-1, rows, 3).T * q.imag[:, None, :]
         out = np.empty((rows, q.shape[1]), dtype=complex)
         out.real = fields[:, :rows].T
         out.imag = slopes[0] + slopes[1] + slopes[2]
@@ -543,7 +535,7 @@ class TokamakModel(HamiltonianModel):
         x, y, z = q = tuple(q)
         if side == "q":  # (dq_n/dq, dq_n/dp) = (I, h I) - h J(q_{n-1}) (dq_{n-1}/dq, dq_{n-1}/dp)
             for n in range(m):
-                field = self._field_at(q, 1) if n else self._start_field(q, 1)
+                field = self._pass_field(q, 1)
                 gx, gy, gz = p[0] - field[0], p[1] - field[1], p[2] - field[2]
                 step = _scaled(field[3:12], -h)
                 if n:
@@ -551,13 +543,13 @@ class TokamakModel(HamiltonianModel):
                 else:  # from (I, 0)
                     qq, qp = _plus_diag(step, 1.0), _plus_diag((0.0,) * 9, h)
                 q = (x + h * gx, y + h * gy, z + h * gz)
-            field = self._field_at(q, 2)
+            field = self._pass_field(q, 2)
             d0, d1, d2 = p[0] - field[0], p[1] - field[1], p[2] - field[2]
             jt, coupling = _kick_matrices(field, h, d0, d1, d2)
             pq, pp = _muladd(coupling, qq), _plus_diag(_muladd(coupling, qp, jt), 1.0)
             return _finite_step(q, _plus_jt(p, h, field, d0, d1, d2), qq, qp, pq, pp)
         # em: the system matrix L gives p~ and (dp~/dq, dp~/dp) = L^-1 (Q, I), Q at p~ - A
-        field = self._start_field(q, 2)
+        field = self._pass_field(q, 2)
         ax, ay, az = field[0], field[1], field[2]
         pn, *columns = solve3(_em_matrix(field, h), _plus_jt(p, h, field, -ax, -ay, -az),
                               (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))

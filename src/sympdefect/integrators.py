@@ -103,9 +103,11 @@ class SchemeConfig:
             _require_count(name, getattr(self, name))
 
 
-def _require_count(name: str, value) -> None:
+def _require_count(name: str, value) -> int:
+    """`value` as an int, if it is an integer >= 1 (not a bool); ValueError otherwise."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def _check_step(h) -> None:
@@ -179,10 +181,11 @@ def _float_step(model, state: PhaseState, h, side: str, m: int | None = None) ->
 
 def _tangent_step(model, z: np.ndarray, h, side: str, m: int | None) -> PhaseState | None:
     """A complex-step state z, (2N,) or (2N, K), stepped by `model.linearized_step`: real parts
-    are its values, imaginary parts its Jacobian times theirs.  Each run of adjacent columns
-    with the same real bytes and step size is a group, stepped once (an `analyze` pass is one
-    group, a grid pass one per h).  Where a step fails, or gives a non-finite value or
-    derivative, this returns None: the numpy route then steps the batch and raises its error."""
+    are its values, imaginary parts its Jacobian times theirs.  Columns with equal real parts
+    and step size, compared by value (0.0 and -0.0 are equal), are a group, stepped once (an
+    `analyze` pass is one group, a grid pass one per h).  Where a step fails, or gives a
+    non-finite value or derivative, this returns None: the numpy route then steps the batch
+    and raises its error."""
     batch = z if z.ndim == 2 else z[:, None]
     n, k = batch.shape[0] // 2, batch.shape[1]
     keyed = batch.real.T
@@ -190,12 +193,11 @@ def _tangent_step(model, z: np.ndarray, h, side: str, m: int | None) -> PhaseSta
         keyed = np.column_stack((keyed, h))
     raw, width = keyed.tobytes(), 8 * keyed.shape[1]
     if raw == raw[:width] * k:  # one group
-        index, rows = np.zeros(k, dtype=np.intp), [keyed[0].tolist()]
-    else:  # a group per run of adjacent columns with equal bits
-        bits = np.frombuffer(raw, dtype=np.int64).reshape(k, -1)
-        changed = (bits[1:] != bits[:-1]).any(axis=1)
-        index = np.concatenate(([0], np.cumsum(changed)))
-        rows = keyed[np.concatenate(([0], np.flatnonzero(changed) + 1))].tolist()
+        index, rows = [0] * k, [keyed[0].tolist()]
+    else:
+        groups: dict[tuple, int] = {}
+        index = [groups.setdefault(tuple(row), len(groups)) for row in keyed.tolist()]
+        rows = list(groups)
     stepped, jacobians = [], []
     try:
         for row in rows:  # (q, p), then h if it is one per column

@@ -105,6 +105,15 @@ def test_defect_sweep_orders_on_quadratic_model(quad3, quad3_state):
         assert abs(sweep.fits[("volume", m)].slope - (m + 1)) <= 0.4
 
 
+def test_defect_sweep_takes_only_integer_sweep_counts(quad3, quad3_state):
+    # a float or a bool is not truncated to a count: [2.7, True] would run M = 2 and M = 1
+    for bad in (2.7, True, 0):
+        with pytest.raises(ValueError, match="M must be an integer >= 1"):
+            defect_sweep(quad3, Scheme.P_IMPLICIT, [1, bad], default_h_grid(count=4), quad3_state)
+    rows = defect_sweep(quad3, Scheme.P_IMPLICIT, [np.int64(2)], default_h_grid(count=4), quad3_state).rows
+    assert all(type(row["M"]) is int and row["M"] == 2 for row in rows)
+
+
 def test_defect_sweep_parallel_jobs_match_serial(quad3, quad3_state):
     hs = default_h_grid(count=4)
     serial = defect_sweep(quad3, Scheme.P_IMPLICIT, [1], hs, quad3_state, jobs=1)

@@ -6,6 +6,8 @@ import pytest
 
 from sympdefect import hamiltonians
 from sympdefect.autodiff import STEP, finite_difference_jacobian
+from sympdefect.defect import analyze
+from sympdefect.experiments import default_h_grid, defect_sweep, grid_report, sv_block_orders
 from sympdefect.hamiltonians import (
     AxisSingularityError,
     CharacteristicScales,
@@ -22,7 +24,7 @@ from sympdefect.hamiltonians import (
     reference_initial_state,
     reference_initial_state_si,
 )
-from sympdefect.integrators import SchemeConfig, integrate, one_step
+from sympdefect.integrators import Scheme, SchemeConfig, integrate, one_step
 from sympdefect.state import NonFiniteIterateError, PhaseState
 
 
@@ -175,6 +177,23 @@ def test_quadratic_model_takes_any_square_coupling():
     for bad in (np.zeros((2, 3)), np.zeros(3)):
         with pytest.raises(ValueError, match="coupling must be square"):
             QuadraticModel(bad)
+
+
+def test_quadratic_model_keeps_a_read_only_float_copy_of_its_coupling(quad3_state):
+    coupling = mixed_hessian(3)
+    model = QuadraticModel(coupling)
+    before = model.grad_q(quad3_state.q, quad3_state.p)
+    coupling[0, 1] = 7.0
+    assert np.array_equal(model.coupling, mixed_hessian(3))
+    assert np.array_equal(model.grad_q(quad3_state.q, quad3_state.p), before)
+    with pytest.raises(ValueError):
+        model.coupling[0, 0] = 1.0
+    nested = QuadraticModel([[0, 1], [-1, 0]])
+    assert nested.coupling.dtype == np.float64 and nested.dim == 2
+    assert np.array_equal(nested.grad_q(np.zeros(2), np.array([1.0, 2.0])), [2.0, -1.0])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            QuadraticModel([[0.0, bad], [0.0, 0.0]])
 
 
 def test_quadratic_value_matches_gradient_structure(quad3, quad3_state):
@@ -471,6 +490,41 @@ def test_complex_step_pass_evaluates_the_field_once_per_distinct_column(monkeypa
     for c in range(12):
         alone = TokamakModel().potential_and_jacobian(two[:, c:c + 1])
         assert np.array_equal(pot[:, c:c + 1], alone[0]) and np.array_equal(jac[..., c:c + 1], alone[1])
+    # an sv-qp grid: its kernel q half and numpy p half read each closing field once
+    grid = default_h_grid()
+    calls.clear()
+    sv_block_orders(TokamakModel(), Scheme.SV_QP, 1, 3, grid, tokamak_state)
+    assert len(calls) == 11
+    # 60 points share the start and each step size's position iterates
+    model = TokamakModel()
+    calls.clear()
+    for scheme in (Scheme.P_IMPLICIT, Scheme.Q_IMPLICIT):
+        for m in (1, 2, 3):
+            for h in grid:
+                analyze(model, SchemeConfig(scheme, float(h), M=m), tokamak_state)
+    assert len(calls) == 31
+
+
+def test_pass_cache_is_bounded_and_emptying_it_leaves_rows_bitwise(monkeypatch, tokamak_state):
+    # a 50-h q-implicit grid reads 151 positions, so the cache empties mid-pass
+    model = TokamakModel()
+    sizes, pass_field = [], model._pass_field
+
+    def recording(q, order):
+        field = pass_field(q, order)
+        sizes.append(len(model._passes))
+        return field
+
+    monkeypatch.setattr(model, "_pass_field", recording)
+    rows = defect_sweep(model, Scheme.Q_IMPLICIT, [1, 2, 3], default_h_grid(count=50), tokamak_state).rows
+    assert max(sizes) == hamiltonians.PASS_POSITIONS and sizes.count(1) >= 2
+    names = ("delta", "alpha", "skew_residual", "det_flow", "det_antidiag")
+    for row in rows:
+        config = SchemeConfig(Scheme.Q_IMPLICIT, row["h"], M=row["M"])
+        alone = grid_report(TokamakModel(), [config], tokamak_state)
+        want = [getattr(alone, name)[0] for name in names] + [alone.volume_gap[0], alone.volume_defect[0]]
+        got = [row[name] for name in names] + [row["discrepancy"], row["volume_defect"]]
+        assert np.array(got).tobytes() == np.array(want).tobytes(), row
 
 
 @pytest.mark.parametrize(
