@@ -12,9 +12,9 @@ needs no number type of its own, only operations that act column by
 column on a trailing batch axis and primitives that accept complex input
 (``cmath``).  A model may also take a whole evaluation as one elemental
 function, as the tokamak potential does: real parts from its float body,
-tangents from its closed-form derivatives.  The tokamak's q-implicit and em
-steps are such functions too: their float step and its Jacobian, which
-multiplies the imaginary parts.
+tangents from its closed-form derivatives.  The tokamak's flow Jacobians
+skip this pass: its kernel gives them directly (`defect.flow_jacobians`),
+and a pass here is their fallback and cross-check.
 """
 
 from __future__ import annotations

@@ -5,8 +5,9 @@ J~ = D^T J D of a symplectic map equals J exactly.  Truncating the implicit
 solve leaves a structured residue: J~ is always skew-symmetric, one diagonal
 N x N block vanishes identically (which one depends on the implicit side),
 and the remaining blocks deviate at order h^(M+1).  This module computes D
-by complex-step forward AD (or finite differences, or closed-form
-recursions where available) and packages the block decomposition of J~.
+by forward AD, from a model's tangent-linear kernel (the tokamak's) or a
+complex-step pass (or finite differences, or closed-form recursions where
+available), and packages the block decomposition of J~.
 `defect_report` decomposes one Jacobian or a (K, 2N, 2N) stack of them
 with one body: a stack's figures are arrays over K, each bitwise what
 the report of that Jacobian alone gives.  The two determinants are
@@ -50,9 +51,48 @@ def flow_map(model, config: SchemeConfig, h=None):
 
 
 def flow_jacobian_ad(model, config: SchemeConfig, state: PhaseState) -> np.ndarray:
-    """Jacobian of the one-step map by complex-step forward AD (primary route):
-    one step of the batch that seeds every phase-space coordinate."""
-    return jacobian(flow_map(model, config), state.to_vector())
+    """Jacobian of the one-step map by forward AD (primary route), `flow_jacobians` of one
+    config: D straight from a model's kernel (the tokamak's), else a complex-step pass."""
+    return flow_jacobians(model, [config], state)[0]
+
+
+# the kernel side of each one-sided scheme that the tokamak's kernel steps
+_KERNEL_SIDES = {Scheme.P_IMPLICIT: "p", Scheme.Q_IMPLICIT: "q", Scheme.LINEAR_IMPLICIT_EM: "em"}
+
+
+def flow_jacobians(model, configs: list[SchemeConfig], state: PhaseState) -> np.ndarray:
+    """The (K, 2N, 2N) flow Jacobians at K configs of one scheme and sweep counts.
+
+    A model with a kernel (`linearized_step`) gives D straight from it at a real
+    float64 state: D of the step for a one-sided scheme or em, and for a composition
+    D_second @ D_first of its half steps (h/2, M1 then M2), one stacked product.
+    Otherwise, and where the kernel raises, one complex-step pass whose seed copy k
+    steps with configs[k].h (a lone config with its float h), which raises the numpy
+    route's error."""
+    z = state.to_vector()
+    scheme = configs[0].scheme
+    step = getattr(model, "linearized_step", None)
+    if step is not None and z.ndim == 1 and z.dtype.char == "d" and (
+            scheme.composition or scheme in _KERNEL_SIDES):
+        n = z.size // 2
+        q, p = z[:n].tolist(), z[n:].tolist()
+        try:
+            if scheme.composition:  # the first half solves for the explicit side
+                halves = [step(scheme.explicit_side, q, p, 0.5 * c.h, c.M1) for c in configs]
+                # D_second's entries, then D_first's
+                jacs = [step(scheme.implicit_side, qh, ph, 0.5 * c.h, c.M2)[2] + first
+                        for (qh, ph, first), c in zip(halves, configs)]
+            else:
+                jacs = [step(_KERNEL_SIDES[scheme], q, p, c.h, c.M)[2] for c in configs]
+        except (ValueError, ArithmeticError):
+            pass  # the complex-step pass below raises the numpy route's error
+        else:
+            stack = np.array(jacs).reshape(len(configs), -1, 2 * n, 2 * n)
+            return stack[:, 0] @ stack[:, 1] if scheme.composition else stack[:, 0]
+    if len(configs) == 1:
+        return jacobian(flow_map(model, configs[0]), z)[None]
+    h = np.repeat([c.h for c in configs], z.size)
+    return jacobian(flow_map(model, configs[0], h), z, copies=len(configs))
 
 
 def flow_jacobian_fd(

@@ -20,8 +20,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .autodiff import jacobian
-from .defect import DefectReport, defect_report, flow_map
+from .defect import DefectReport, defect_report, flow_jacobians
 from .integrators import Scheme, SchemeConfig, _require_count, one_step, orbit
 from .state import PhaseState
 
@@ -108,19 +107,11 @@ class DefectSweep:
     fits: dict[tuple[str, int | None], FitResult | None]
 
 
-def _grid_pass(model, configs: list[SchemeConfig], state: PhaseState) -> np.ndarray:
-    """The (K, 2N, 2N) AD flow Jacobians at K configs that differ in h only,
-    from one complex-step pass whose seed copy k steps with configs[k].h."""
-    z = state.to_vector()
-    h = np.repeat([c.h for c in configs], z.size)
-    return jacobian(flow_map(model, configs[0], h), z, copies=len(configs))
-
-
 def grid_report(model, configs: list[SchemeConfig], state: PhaseState, jobs: int = 1) -> DefectReport:
     """The AD flow Jacobians at a non-empty grid of configs of one scheme,
     decomposed in one `defect_report` call, one row per config in order.
-    Configs with the same sweep counts share one complex-step pass, one h
-    per seed copy; `jobs` > 1 maps the passes over a process pool."""
+    Configs with the same sweep counts share one `flow_jacobians` call;
+    `jobs` > 1 maps the calls over a process pool."""
     if not configs:
         raise ValueError("the grid has no points")
     scheme = configs[0].scheme
@@ -135,9 +126,9 @@ def grid_report(model, configs: list[SchemeConfig], state: PhaseState, jobs: int
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            stacks = list(pool.map(_grid_pass, *columns))
+            stacks = list(pool.map(flow_jacobians, *columns))
     else:
-        stacks = list(map(_grid_pass, *columns))
+        stacks = list(map(flow_jacobians, *columns))
     dflows = np.empty((len(configs), *stacks[0].shape[1:]))
     for rows, stack in zip(groups.values(), stacks):
         dflows[rows] = stack

@@ -24,12 +24,11 @@ value (0.0 and -0.0 are one position), so once per distinct position of a
 pass, and takes its tangents from those derivatives (tangent-linear mode
 with the whole potential as one elemental function).  Real float states
 step on Python floats (`TokamakModel.float_step`), through a one-entry memo.
-A complex-step q-implicit or em step runs that step's own arithmetic once per
-distinct real column and carries its Jacobian beside it on 3 x 3 blocks of
-Python floats (`TokamakModel.linearized_step`, the whole step as one
-elemental function); a p-implicit step takes the numpy route, whose products
-sum J^T d in the kernel's order.  So the real parts of every complex-step pass
-are the float step's, bitwise, em included."""
+`TokamakModel.linearized_step` runs that step's own arithmetic, every side,
+through the position cache and carries its Jacobian beside it on 3 x 3 blocks
+of Python floats (the whole step as one elemental function): the tokamak's
+flow Jacobians come from it (`defect.flow_jacobians`), and complex steps, the
+cross-check and the fallback where it fails, take the numpy route."""
 
 from __future__ import annotations
 
@@ -46,8 +45,8 @@ from .state import NonFiniteIterateError, PhaseState
 # because the potential has a genuine singularity at rho = 0.
 AXIS_TOLERANCE = 1e-9
 
-# Positions the complex-step pass cache holds before it is emptied: one state's default-grid
-# traffic measured 31 for q-implicit M=1..3 and 81 for every scheme; a 50-h grid's 151 empties it.
+# Positions the pass cache (`linearized_step`, complex steps) holds before it is emptied: one
+# state's default-grid traffic reads 31 for q-implicit M=1..3, 81 for every scheme; 151 at 50 h.
 PASS_POSITIONS = 128
 
 
@@ -339,10 +338,10 @@ class TokamakModel(HamiltonianModel):
     derivatives of A are closed forms in F, its derivative f and f', so
     differentiating a flow never runs through F's closed form, whose
     branches and series loop are exact only in value.  Complex steps take
-    their values from the float body that `float_step` runs too (q-implicit
-    and em steps from `float_step`'s arithmetic itself); a position
+    their values from the float body that `float_step` runs too, and
+    `linearized_step` runs `float_step`'s arithmetic itself; a position
     whose radius r or flux F(r) overflows raises NonFiniteIterateError on
-    both.  The Hessian blocks are closed forms from the same derivatives.
+    all three.  The Hessian blocks are closed forms from the same derivatives.
     """
 
     dim = 3
@@ -357,7 +356,7 @@ class TokamakModel(HamiltonianModel):
         # steps and sampled energies revisit only the last position
         self._memo: tuple = (None, None)
         self._arrays: tuple = (None, None, None)  # `potential_and_jacobian`'s last (key, A, dA/dq)
-        self._passes: dict[tuple, list] = {}  # the complex-step passes' position -> `_field` list
+        self._passes: dict[tuple, list] = {}  # the pass cache: position -> `_field` list
 
     def _field(self, x: float, y: float, z: float, order: int) -> list[float]:
         """A and its derivatives up to `order` (0, 1 or 2) at one dimensionless
@@ -436,8 +435,8 @@ class TokamakModel(HamiltonianModel):
         return field
 
     def _pass_field(self, q: tuple, order: int) -> list[float]:
-        """`_field` at a complex-step pass's position q (a 3-tuple) through the pass cache, whose
-        entries hold the highest order asked there; it is emptied at PASS_POSITIONS entries."""
+        """`_field` at a position q (a 3-tuple) of `linearized_step` or a complex-step pass, through
+        the pass cache: each entry holds the highest order asked there; emptied at PASS_POSITIONS."""
         field = self._passes.get(q)
         if field is None or len(field) <= 9 * order:
             if len(self._passes) >= PASS_POSITIONS:
@@ -524,18 +523,18 @@ class TokamakModel(HamiltonianModel):
         return _finite(q, "updated position"), pn
 
     def linearized_step(self, side: str, q, p, h: float, m: int | None) -> tuple:
-        """`float_step` of side "q" or "em" and its Jacobian: (q~, p~, D) with (q~, p~) by the
-        float step's own arithmetic, bitwise, and D = d(q~, p~)/d(q, p) as a row-major
-        36-tuple, the chain rule of that arithmetic carried on 3 x 3 blocks from iterate to
-        iterate (tangent-linear mode, with the whole step as one elemental function).
-        Position sweeps read `_field(..., 1)`, the closing update and em's system
-        `_field(..., 2)`; em solves for its value and for the inverse of its system matrix
-        with one `solve3` elimination.  Iterates are not checked: a non-finite value or
-        derivative reaches an output, which raises NonFiniteIterateError without naming it."""
+        """`float_step` and its Jacobian: (q~, p~, D) with (q~, p~) by the float step's own
+        arithmetic, bitwise, and D = d(q~, p~)/d(q, p) as a row-major 36-tuple, the chain
+        rule of that arithmetic carried on 3 x 3 blocks from iterate to iterate (tangent-linear
+        mode, with the whole step as one elemental function).  Later q-side position sweeps
+        read `_field(..., 1)`, every other position `_field(..., 2)`; em solves for its value
+        and for the inverse of its system matrix with one `solve3` elimination.  Iterates are
+        not checked: a non-finite value or derivative reaches an output, which raises
+        NonFiniteIterateError without naming it."""
         x, y, z = q = tuple(q)
         if side == "q":  # (dq_n/dq, dq_n/dp) = (I, h I) - h J(q_{n-1}) (dq_{n-1}/dq, dq_{n-1}/dp)
             for n in range(m):
-                field = self._pass_field(q, 1)
+                field = self._pass_field(q, 1 if n else 2)  # the start at every side's order
                 gx, gy, gz = p[0] - field[0], p[1] - field[1], p[2] - field[2]
                 step = _scaled(field[3:12], -h)
                 if n:
@@ -548,13 +547,23 @@ class TokamakModel(HamiltonianModel):
             jt, coupling = _kick_matrices(field, h, d0, d1, d2)
             pq, pp = _muladd(coupling, qq), _plus_diag(_muladd(coupling, qp, jt), 1.0)
             return _finite_step(q, _plus_jt(p, h, field, d0, d1, d2), qq, qp, pq, pp)
-        # em: the system matrix L gives p~ and (dp~/dq, dp~/dp) = L^-1 (Q, I), Q at p~ - A
         field = self._pass_field(q, 2)
         ax, ay, az = field[0], field[1], field[2]
-        pn, *columns = solve3(_em_matrix(field, h), _plus_jt(p, h, field, -ax, -ay, -az),
-                              (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-        pp = sum(zip(*columns), ())  # L^-1, from its columns
-        pq = _muladd(pp, _kick_matrices(field, h, pn[0] - ax, pn[1] - ay, pn[2] - az)[1])
+        if side == "p":  # (dp_n/dq, dp_n/dp) = (P dp_{n-1}/dq + Q_n, I + P dp_{n-1}/dp)
+            pn = p
+            for n in range(m):
+                d0, d1, d2 = pn[0] - ax, pn[1] - ay, pn[2] - az
+                jt, coupling = _kick_matrices(field, h, d0, d1, d2)
+                if n:
+                    pq, pp = _muladd(jt, pq, coupling), _plus_diag(_muladd(jt, pp), 1.0)
+                else:  # from (0, I)
+                    pq, pp = coupling, _plus_diag(jt, 1.0)
+                pn = _plus_jt(p, h, field, d0, d1, d2)
+        else:  # em: the system matrix L gives p~ and (dp~/dq, dp~/dp) = L^-1 (Q, I), Q at p~ - A
+            pn, *columns = solve3(_em_matrix(field, h), _plus_jt(p, h, field, -ax, -ay, -az),
+                                  (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+            pp = sum(zip(*columns), ())  # L^-1, from its columns
+            pq = _muladd(pp, _kick_matrices(field, h, pn[0] - ax, pn[1] - ay, pn[2] - az)[1])
         q = (x + h * (pn[0] - ax), y + h * (pn[1] - ay), z + h * (pn[2] - az))
         # (dq~/dq, dq~/dp) = (I + h (dp~/dq - J), h dp~/dp)
         qq = _plus_diag(tuple(h * (b - a) for a, b in zip(field[3:12], pq)), 1.0)

@@ -11,9 +11,7 @@ Every step also takes a batch of states (q and p of shape (N, K)) and
 steps each column as it would step that state alone, with a float step
 size h or one per column, h of shape (K,).  A model with a scalar kernel
 `float_step` (the tokamak) steps real float64 states there, a batch column
-by column, and complex q-implicit and em steps through `linearized_step`,
-once per group of columns with equal real parts and step size; complex
-p-implicit steps and the other models run the numpy code here.
+by column; complex steps and the other models run the numpy code here.
 A single state comes back holding the kernel's float tuples (`PhaseState`), which the
 next step passes on: an orbit builds arrays only where it reads q or p, at its samples.
 """
@@ -150,15 +148,11 @@ def _sweeps(update, start: np.ndarray, h, m: int, name: str) -> list[np.ndarray]
 
 def _float_step(model, state: PhaseState, h, side: str, m: int | None = None) -> PhaseState | None:
     """`model.float_step` on a real float64 state or a float-held one's tuples, a batch column by
-    column, and `_tangent_step` on a complex one of side "q" or "em"; None where the model has no
-    kernel.  A complex p-implicit step stays on the numpy route: its field is fixed in q, so a
-    pass evaluates it once, and its sweeps are a few batched products.  h and m get the full
+    column; None for a complex state or where the model has no kernel.  h and m get the full
     checks only if a type test fails."""
     floats = state.floats
-    if floats is None:
-        kinds = state.q.dtype.char + state.p.dtype.char
-        if kinds != "dd" and (kinds != "DD" or side == "p"):
-            return None
+    if floats is None and state.q.dtype.char + state.p.dtype.char != "dd":
+        return None
     if getattr(model, "float_step", None) is None:
         return None
     if not (type(h) is float and 0.0 <= h < math.inf):
@@ -169,50 +163,12 @@ def _float_step(model, state: PhaseState, h, side: str, m: int | None = None) ->
     # (float_form, passed by position: as a keyword it costs each drift step about 0.1 µs)
     if floats is not None:
         return PhaseState(*model.float_step(side, *floats, h, m), True)
-    if kinds == "DD":
-        return _tangent_step(model, state.to_vector(), h, side, m)
     q, p = state.q, state.p
     if q.ndim == 1:
         return PhaseState(*model.float_step(side, q.tolist(), p.tolist(), h, m), True)
     hs = h.tolist() if isinstance(h, np.ndarray) else [h] * q.shape[1]
     steps = [model.float_step(side, *column, m) for column in zip(q.T.tolist(), p.T.tolist(), hs)]
     return PhaseState.from_vector(np.array(steps).reshape(-1, 2 * q.shape[0]).T)
-
-
-def _tangent_step(model, z: np.ndarray, h, side: str, m: int | None) -> PhaseState | None:
-    """A complex-step state z, (2N,) or (2N, K), stepped by `model.linearized_step`: real parts
-    are its values, imaginary parts its Jacobian times theirs.  Columns with equal real parts
-    and step size, compared by value (0.0 and -0.0 are equal), are a group, stepped once (an
-    `analyze` pass is one group, a grid pass one per h).  Where a step fails, or gives a
-    non-finite value or derivative, this returns None: the numpy route then steps the batch
-    and raises its error."""
-    batch = z if z.ndim == 2 else z[:, None]
-    n, k = batch.shape[0] // 2, batch.shape[1]
-    keyed = batch.real.T
-    if isinstance(h, np.ndarray):
-        keyed = np.column_stack((keyed, h))
-    raw, width = keyed.tobytes(), 8 * keyed.shape[1]
-    if raw == raw[:width] * k:  # one group
-        index, rows = [0] * k, [keyed[0].tolist()]
-    else:
-        groups: dict[tuple, int] = {}
-        index = [groups.setdefault(tuple(row), len(groups)) for row in keyed.tolist()]
-        rows = list(groups)
-    stepped, jacobians = [], []
-    try:
-        for row in rows:  # (q, p), then h if it is one per column
-            step = row[2 * n] if len(row) > 2 * n else h
-            qt, pt, jac = model.linearized_step(side, row[:n], row[n:2 * n], step, m)
-            stepped.append(qt + pt)
-            jacobians.append(jac)
-    except (ValueError, ArithmeticError):
-        return None
-    out = np.empty((k, 2 * n), dtype=complex)
-    out.real = stepped[0] if len(stepped) == 1 else np.array(stepped).take(index, axis=0)
-    # one (2N, 2N) @ (2N, 1) product per column, the same whatever the batch around it
-    jacobians = np.array(jacobians).reshape(-1, 2 * n, 2 * n).take(index, axis=0)
-    out.imag = (jacobians @ np.ascontiguousarray(batch.imag.T)[:, :, None])[:, :, 0]
-    return PhaseState.from_vector(out.T if z.ndim == 2 else out[0])
 
 
 def step_p_implicit(model, state: PhaseState, h: float, m: int) -> PhaseState:

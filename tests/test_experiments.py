@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from sympdefect import experiments
-from sympdefect.autodiff import jacobian
-from sympdefect.defect import analyze
+from sympdefect.defect import analyze, flow_jacobians
 from sympdefect.experiments import (
     classify_drift,
     default_h_grid,
@@ -145,11 +144,12 @@ def test_sweep_rows_are_per_point_reports(request, name):
                 "discrepancy": rep.volume_gap, "volume_defect": rep.volume_defect,
             }
     for scheme in (Scheme.SV_PQ, Scheme.SV_QP):
-        rows, _ = sv_block_orders(model, scheme, 2, 1, grid, state)
-        assert [r["h"] for r in rows] == list(grid)
-        for row in rows:
-            rep = analyze(model, SchemeConfig(scheme, row["h"], M1=2, M2=1), state)
-            assert row == {"h": row["h"], **rep.deviations}
+        for m1, m2 in ((2, 1), (1, 3), (2, 2), (3, 2)):
+            rows, _ = sv_block_orders(model, scheme, m1, m2, grid, state)
+            assert [r["h"] for r in rows] == list(grid)
+            for row in rows:
+                rep = analyze(model, SchemeConfig(scheme, row["h"], M1=m1, M2=m2), state)
+                assert row == {"h": row["h"], **rep.deviations}
     with pytest.raises(ValueError, match="no points"):
         defect_sweep(model, Scheme.P_IMPLICIT, [], grid, state)
 
@@ -161,13 +161,14 @@ def test_grid_report_rejects_a_grid_that_mixes_schemes(tokamak, tokamak_state):
 
 
 def test_grid_report_runs_one_pass_per_count_group(monkeypatch, tokamak, tokamak_state):
+    # a pass is one flow_jacobians call: one kernel run per config, or one complex-step pass
     passes = []
 
-    def counting(fn, x, copies=None):
-        passes.append(copies)
-        return jacobian(fn, x, copies)
+    def counting(model, configs, state):
+        passes.append(len(configs))
+        return flow_jacobians(model, configs, state)
 
-    monkeypatch.setattr(experiments, "jacobian", counting)
+    monkeypatch.setattr(experiments, "flow_jacobians", counting)
     grid = default_h_grid()
     sv_block_orders(tokamak, Scheme.SV_PQ, 1, 3, grid, tokamak_state)
     assert passes == [10]

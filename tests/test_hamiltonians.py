@@ -495,14 +495,15 @@ def test_complex_step_pass_evaluates_the_field_once_per_distinct_column(monkeypa
     calls.clear()
     sv_block_orders(TokamakModel(), Scheme.SV_QP, 1, 3, grid, tokamak_state)
     assert len(calls) == 11
-    # 60 points share the start and each step size's position iterates
-    model = TokamakModel()
-    calls.clear()
-    for scheme in (Scheme.P_IMPLICIT, Scheme.Q_IMPLICIT):
-        for m in (1, 2, 3):
-            for h in grid:
-                analyze(model, SchemeConfig(scheme, float(h), M=m), tokamak_state)
-    assert len(calls) == 31
+    # 60 points share the start and each step size's position iterates, in either order
+    for schemes in ((Scheme.P_IMPLICIT, Scheme.Q_IMPLICIT), (Scheme.Q_IMPLICIT, Scheme.P_IMPLICIT)):
+        model = TokamakModel()
+        calls.clear()
+        for scheme in schemes:
+            for m in (1, 2, 3):
+                for h in grid:
+                    analyze(model, SchemeConfig(scheme, float(h), M=m), tokamak_state)
+        assert len(calls) == 31, schemes
 
 
 def test_pass_cache_is_bounded_and_emptying_it_leaves_rows_bitwise(monkeypatch, tokamak_state):

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_defect import tokamak_cases
 
-from sympdefect.autodiff import STEP, _seed, jacobian
-from sympdefect.defect import analyze, flow_jacobian_ad, flow_map
+from sympdefect.autodiff import STEP, NonFiniteError
+from sympdefect.defect import analyze, flow_jacobian_ad
 from sympdefect.experiments import energy_drift_run
 from sympdefect.hamiltonians import TokamakModel, quadratic_model
 from sympdefect.integrators import (
@@ -483,9 +483,10 @@ def test_float_position_sweeps_fail_as_the_batch_column(momentum, h, failure, to
 
 
 class NumpyTokamak(TokamakModel):
-    """The tokamak with no scalar kernel: its float steps run the numpy code."""
+    """The tokamak with no scalar kernel: its float steps and its Jacobians run the numpy code."""
 
     float_step = None
+    linearized_step = None
 
 
 # Bound fixed before the first run: the kernel sums J^T d in its own order
@@ -512,23 +513,19 @@ def test_float_kernel_step_matches_the_numpy_step(tokamak, tokamak_state, case):
 
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(case=tokamak_cases())
-def test_complex_pass_real_parts_are_the_float_step(tokamak, tokamak_state, case):
-    # q-side and em passes take their values from the float step's own arithmetic
-    # (TokamakModel.linearized_step); a p-side pass's numpy products have tangent
-    # cross terms that underflow to 0, and J^T d summed in the kernel's order
+def test_kernel_values_are_the_float_step(tokamak, tokamak_state, case):
+    # the Jacobian kernel steps by the float step's own arithmetic: every side, and
+    # both halves of each composition, the second from the first's output
     position, factors, h, m = case
-    state = PhaseState(position / tokamak.scales.L0, factors * tokamak_state.p)
-    for scheme in SEPARABLE_SCHEMES + [Scheme.LINEAR_IMPLICIT_EM]:
-        config = SchemeConfig(scheme, h, M=m, M1=m, M2=5 - m)
-        passes = []
-
-        def recorded(z):
-            passes.append(flow_map(tokamak, config)(z))
-            return passes[-1]
-
-        jacobian(recorded, state.to_vector())
-        float_step = one_step(tokamak, config, state).to_vector()
-        assert np.array_equal(passes[0].real, np.repeat(float_step[:, None], 6, axis=1)), scheme
+    q, p = (position / tokamak.scales.L0).tolist(), (factors * tokamak_state.p).tolist()
+    steps = [(side, q, p, h, m) for side in ("p", "q", "em")]
+    for first, second in (("p", "q"), ("q", "p")):
+        half = tokamak.float_step(first, q, p, 0.5 * h, m)
+        steps += [(first, q, p, 0.5 * h, m), (second, *half, 0.5 * h, 5 - m)]
+    for side, *args in steps:
+        want = tokamak.float_step(side, *args)
+        got = tokamak.linearized_step(side, *args)[:2]
+        assert np.array(got).tobytes() == np.array(want).tobytes(), side
 
 
 # Bound fixed before the first run: the kernel's chain rule and the numpy route's
@@ -541,17 +538,21 @@ KERNEL_JACOBIAN_RTOL = 1e-14
 def test_kernel_jacobians_match_the_numpy_route(tokamak, tokamak_state, case):
     position, factors, h, m = case
     state = PhaseState(position / tokamak.scales.L0, factors * tokamak_state.p)
-    for scheme in SEPARABLE_SCHEMES + [Scheme.LINEAR_IMPLICIT_EM]:
-        config = SchemeConfig(scheme, h, M=m, M1=m, M2=5 - m)
+    schemes = SEPARABLE_SCHEMES + [Scheme.LINEAR_IMPLICIT_EM]
+    configs = [SchemeConfig(s, h, M=m, M1=m, M2=5 - m) for s in schemes]
+    configs += [SchemeConfig(s, h, M1=m1, M2=m2) for s in (Scheme.SV_PQ, Scheme.SV_QP)
+                for m1, m2 in ((1, 3), (2, 2), (3, 2))]
+    for config in configs:
         got = flow_jacobian_ad(tokamak, config, state)
         want = flow_jacobian_ad(NumpyTokamak(), config, state)
-        assert np.linalg.norm(got - want) <= KERNEL_JACOBIAN_RTOL * np.linalg.norm(want), scheme
+        assert np.linalg.norm(got - want) <= KERNEL_JACOBIAN_RTOL * np.linalg.norm(want), config
 
 
 @pytest.mark.parametrize("scheme", [Scheme.Q_IMPLICIT, Scheme.LINEAR_IMPLICIT_EM, Scheme.SV_PQ, Scheme.SV_QP])
 def test_complex_batch_steps_each_column_as_it_steps_alone(scheme, tokamak, tokamak_state):
-    # four distinct states, then column 1 three times and column 0 again: a group
-    # per run of equal columns, and a group that recurs after another
+    # the numpy route's complex steps, which a Jacobian falls back to: four distinct
+    # states, then column 1 three times and column 0 again, whose fields the pass
+    # cache shares with the earlier columns
     rng = np.random.default_rng(25)
     columns = [0, 1, 2, 3, 1, 1, 1, 0]
     q = (tokamak_state.q[:, None] + 1e-3 * rng.standard_normal((3, 4)))[:, columns]
@@ -590,17 +591,33 @@ def test_float_kernel_fails_as_the_numpy_step(scheme, m, momentum, h, failure, t
 
 @pytest.mark.parametrize("scheme, m, momentum, h, failure", KERNEL_FAILURES)
 def test_complex_pass_fails_as_the_numpy_route(scheme, m, momentum, h, failure, tokamak, tokamak_state):
-    # the seeded complex batch of a Jacobian pass, stepped on both routes
+    # where the kernel fails, the Jacobian's complex-step pass raises the numpy route's error
     q = tokamak_state.q
     if momentum == "potential":
         momentum = tokamak.vector_potential(q) + [1e-304, 0.0, 0.0]
-    seeded = _seed(6) + np.concatenate([q, np.array(momentum, dtype=float)])[:, None]
-    config = SchemeConfig(scheme, 0.1, M=m)
-    numpy_route, kernel = (
-        _outcome(lambda: [config.scheme.step(model, PhaseState.from_vector(seeded), config, h).q])
-        for model in (NumpyTokamak(), tokamak)
-    )
-    assert kernel == numpy_route and numpy_route[0] is NonFiniteIterateError
+    state = PhaseState(q, np.array(momentum, dtype=float))
+    config = SchemeConfig(scheme, h, M=m)
+    numpy_route, kernel = (_outcome(lambda: [flow_jacobian_ad(model, config, state)])
+                           for model in (NumpyTokamak(), tokamak))
+    finite = np.isfinite(momentum).all()
+    assert numpy_route == ((NonFiniteIterateError, failure) if finite
+                           else (NonFiniteError, "seed point has non-finite entries"))
+    assert kernel == numpy_route
+
+
+@pytest.mark.parametrize(
+    "scheme", [Scheme.P_IMPLICIT, Scheme.Q_IMPLICIT, Scheme.SV_PQ, Scheme.SV_QP, Scheme.LINEAR_IMPLICIT_EM]
+)
+def test_flow_jacobian_rejects_a_seed_as_the_numpy_route(scheme, tokamak, tokamak_state):
+    config = SchemeConfig(scheme, 0.1, M=2, M1=1, M2=3)
+    q, p = tokamak_state.q, tokamak_state.p
+    nan, batch = PhaseState(q, p * [1.0, math.nan, 1.0]), PhaseState(q[:, None], p[:, None])
+    for state, want in (
+        (nan, (NonFiniteError, "seed point has non-finite entries")),
+        (batch, (ValueError, "seed point must be a one-dimensional vector")),
+    ):
+        for model in (NumpyTokamak(), tokamak):
+            assert _outcome(lambda: [flow_jacobian_ad(model, config, state)]) == want
 
 
 def test_float_kernel_em_rejects_a_non_finite_matrix(tokamak, tokamak_state):
