@@ -13,8 +13,9 @@ column on a trailing batch axis and primitives that accept complex input
 (``cmath``).  A model may also take a whole evaluation as one elemental
 function, as the tokamak potential does: real parts from its float body,
 tangents from its closed-form derivatives.  The tokamak's flow Jacobians
-skip this pass: its kernel gives them directly (`defect.flow_jacobians`),
-and a pass here is their fallback and cross-check.
+skip this pass (its kernel gives them), as do the quadratic models' sweep
+steps, each linear and so its own tangent map (`defect.flow_jacobians`);
+a pass here is their fallback and cross-check, and the exact maps' route.
 """
 
 from __future__ import annotations

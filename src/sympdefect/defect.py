@@ -5,7 +5,8 @@ J~ = D^T J D of a symplectic map equals J exactly.  Truncating the implicit
 solve leaves a structured residue: J~ is always skew-symmetric, one diagonal
 N x N block vanishes identically (which one depends on the implicit side),
 and the remaining blocks deviate at order h^(M+1).  This module computes D
-by forward AD, from a model's tangent-linear kernel (the tokamak's) or a
+by forward AD, from a model's tangent-linear kernel (the tokamak's), from
+a linear step's own real pass (the quadratic models' sweep schemes) or a
 complex-step pass (or finite differences, or closed-form recursions where
 available), and packages the block decomposition of J~.
 `defect_report` decomposes one Jacobian or a (K, 2N, 2N) stack of them
@@ -52,7 +53,8 @@ def flow_map(model, config: SchemeConfig, h=None):
 
 def flow_jacobian_ad(model, config: SchemeConfig, state: PhaseState) -> np.ndarray:
     """Jacobian of the one-step map by forward AD (primary route), `flow_jacobians` of one
-    config: D straight from a model's kernel (the tokamak's), else a complex-step pass."""
+    config: D straight from a model's kernel (the tokamak's), from a linear step's real
+    pass (the quadratic models'), else from a complex-step pass."""
     return flow_jacobians(model, [config], state)[0]
 
 
@@ -66,14 +68,17 @@ def flow_jacobians(model, configs: list[SchemeConfig], state: PhaseState) -> np.
     A model with a kernel (`linearized_step`) gives D straight from it at a real
     float64 state: D of the step for a one-sided scheme or em, and for a composition
     D_second @ D_first of its half steps (h/2, M1 then M2), one stacked product.
+    A model with a constant coupling (`coupling`, the quadratic models) makes a sweep
+    scheme's step linear, its own D: at a finite real float64 state D is the step of
+    the unit columns, one real pass per config, so a grid row is its per-point D.
     Otherwise, and where the kernel raises, one complex-step pass whose seed copy k
     steps with configs[k].h (a lone config with its float h), which raises the numpy
     route's error."""
     z = state.to_vector()
     scheme = configs[0].scheme
+    real = z.ndim == 1 and z.dtype.char == "d"
     step = getattr(model, "linearized_step", None)
-    if step is not None and z.ndim == 1 and z.dtype.char == "d" and (
-            scheme.composition or scheme in _KERNEL_SIDES):
+    if step is not None and real and (scheme.composition or scheme in _KERNEL_SIDES):
         n = z.size // 2
         q, p = z[:n].tolist(), z[n:].tolist()
         try:
@@ -89,10 +94,16 @@ def flow_jacobians(model, configs: list[SchemeConfig], state: PhaseState) -> np.
         else:
             stack = np.array(jacs).reshape(len(configs), -1, 2 * n, 2 * n)
             return stack[:, 0] @ stack[:, 1] if scheme.composition else stack[:, 0]
-    if len(configs) == 1:
-        return jacobian(flow_map(model, configs[0]), z)[None]
-    h = np.repeat([c.h for c in configs], z.size)
-    return jacobian(flow_map(model, configs[0], h), z, copies=len(configs))
+    # an overflow ends in the steps' finiteness checks, not in a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if (getattr(model, "coupling", None) is not None and scheme.counts and real
+                and math.isfinite(sum(z.tolist()))):  # else the complex pass rejects the seed
+            eye = np.eye(z.size)
+            return np.array([flow_map(model, c)(eye) for c in configs])
+        if len(configs) == 1:
+            return jacobian(flow_map(model, configs[0]), z)[None]
+        h = np.repeat([c.h for c in configs], z.size)
+        return jacobian(flow_map(model, configs[0], h), z, copies=len(configs))
 
 
 def flow_jacobian_fd(
@@ -203,17 +214,19 @@ def defect_report(dflow: np.ndarray, delta_block: str = "q") -> DefectReport:
         raise ValueError(f"delta_block must be 'q' or 'p', got {delta_block!r}")
     n = dflow.shape[-1] // 2
     j = linalg.symplectic_matrix(n)
-    with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf from a non-finite D
+    lead = dflow.shape[:-2]
+    # inf * 0 and inf - inf from a non-finite D, and overflows of J~ or its norms
+    with np.errstate(over="ignore", invalid="ignore"):
         structure = dflow.swapaxes(-1, -2) @ j @ dflow
         skew_residual = linalg.frobenius_norm(structure + structure.swapaxes(-1, -2))
-    # a non-finite D or J~ always leaves the skew residual non-finite
-    if not math.isfinite(sum(skew_residual.ravel().tolist())):
-        linalg._require_finite(dflow)
-        linalg._require_finite(structure)
-    # the blocks P11, P12, P21, P22 of J~ - J, each less its target
-    lead = dflow.shape[:-2]
-    blocks = (structure - j).reshape(*lead, 2, n, 2, n).swapaxes(-3, -2).reshape(*lead, 4, n, n)
-    deviations = dict(zip(("P11", "P12", "P21", "P22"), linalg.frobenius_norm(blocks).T))
+        # the blocks P11, P12, P21, P22 of J~ - J, each less its target
+        blocks = (structure - j).reshape(*lead, 2, n, 2, n).swapaxes(-3, -2).reshape(*lead, 4, n, n)
+        norms = linalg.frobenius_norm(blocks)
+    # a non-finite D or J~ leaves a figure non-finite, and so does a J~ whose norms overflow
+    if not math.isfinite(sum(skew_residual.ravel().tolist(), sum(norms.ravel().tolist()))):
+        for figures in (dflow, structure, skew_residual, norms):
+            linalg._require_finite(figures)
+    deviations = dict(zip(("P11", "P12", "P21", "P22"), norms.T))
     antidiag = structure[..., :n, n:]
     return DefectReport(
         dflow=dflow,

@@ -279,7 +279,8 @@ class QuadraticModel(HamiltonianModel):
     so H_qq = H_pp = I and H_pq = C.  With C from :func:`mixed_hessian`
     (:func:`quadratic_model`) the skew part of C never vanishes, which
     makes the model a sharp probe for block-defect measurements; with
-    C = 0 (:func:`harmonic_oscillator`) it is separable.
+    C = 0 (:func:`harmonic_oscillator`) it is separable.  A sweep step is
+    linear here, its own Jacobian on the unit columns (`defect.flow_jacobians`).
     """
 
     def __init__(self, coupling: np.ndarray):

@@ -31,6 +31,17 @@ def quad3_state():
 
 
 @pytest.fixture(scope="session")
+def quad17():
+    return quadratic_model(17)
+
+
+@pytest.fixture
+def quad17_state():
+    rng = np.random.default_rng(17)
+    return PhaseState(rng.standard_normal(17), rng.standard_normal(17))
+
+
+@pytest.fixture(scope="session")
 def oscillator():
     return harmonic_oscillator()
 

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sympdefect import defect
+from sympdefect.autodiff import jacobian
 from sympdefect.defect import (
     analyze,
     coordinate_swap_check,
@@ -10,10 +12,11 @@ from sympdefect.defect import (
     flow_jacobian_ad,
     flow_jacobian_analytic,
     flow_jacobian_fd,
+    flow_map,
     swap_coordinates,
     swap_coordinates_inverse,
 )
-from sympdefect.hamiltonians import PhysicalParams, QuadraticModel, mixed_hessian
+from sympdefect.hamiltonians import PhysicalParams, QuadraticModel, mixed_hessian, quadratic_model
 from sympdefect.integrators import Scheme, SchemeConfig, step_p_implicit
 from sympdefect.linalg import symplectic_matrix
 from sympdefect.state import PhaseState
@@ -116,9 +119,15 @@ def test_report_rejects_any_non_finite_jacobian_entry(bad):
         stack = np.stack([np.eye(4), dflow])
         with pytest.raises(ValueError, match="non-finite"):
             defect_report(stack)
-    # a finite D whose J~ overflows fails the same way
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
-        defect_report(1e200 * np.eye(4))
+    # a finite D whose J~ overflows fails the same way, and so does a finite J~ whose
+    # norms overflow: the skew residual (entries near 5e184 from an exact-quadratic
+    # step at h = 1e200) or only the block norms (J~ = 1e160 J is exactly skew)
+    exact = flow_jacobian_ad(quadratic_model(3), SchemeConfig(Scheme.EXACT_QUADRATIC_P, 1e200),
+                             PhaseState(np.full(3, 0.5), np.full(3, 0.25)))
+    assert np.isfinite(exact).all()
+    for dflow in (1e200 * np.eye(4), exact, 1e80 * np.eye(4), np.stack([np.eye(4), 1e80 * np.eye(4)])):
+        with pytest.raises(ValueError, match="non-finite"):
+            defect_report(dflow)
 
 
 def test_report_determinants_are_computed_on_first_read(monkeypatch, tokamak, tokamak_state):
@@ -198,6 +207,36 @@ def test_exactly_solved_step_preserves_structure(quad3, quad3_state):
         rep = analyze(quad3, config, quad3_state)
         assert np.max(np.abs(rep.structure - j)) <= 1e-13
         assert rep.delta <= 1e-13
+
+
+def test_exact_quadratic_jacobians_are_the_complex_step_pass(quad3, quad3_state):
+    # real and complex LU round differently, so the exact maps keep the complex pass
+    for scheme in (Scheme.EXACT_QUADRATIC_P, Scheme.EXACT_QUADRATIC_Q):
+        for h in (0.01, 0.1, 0.5):
+            config = SchemeConfig(scheme, h)
+            want = jacobian(flow_map(quad3, config), quad3_state.to_vector())
+            assert flow_jacobian_ad(quad3, config, quad3_state).tobytes() == want.tobytes()
+
+
+# Bound fixed before the first run: both passes run the same products, which BLAS
+# may block differently by shape, so each entry may differ by a few ulp of max|D|.
+REAL_PASS_RTOL = 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 17, 32, 33])
+def test_quadratic_real_pass_is_the_complex_step_pass(monkeypatch, n):
+    rng = np.random.default_rng(n)
+    models = [QuadraticModel(rng.standard_normal((n, n)))] + ([quadratic_model(n)] if n > 1 else [])
+    state = PhaseState(rng.standard_normal(n), rng.standard_normal(n))
+    monkeypatch.setattr(defect, "jacobian", None)  # the real pass runs no complex-step pass
+    for model in models:
+        for scheme in (Scheme.P_IMPLICIT, Scheme.Q_IMPLICIT, Scheme.SV_PQ, Scheme.SV_QP):
+            for m in range(1, 7):
+                for h in (0.1, 0.01):
+                    config = SchemeConfig(scheme, h, M=m, M1=m, M2=7 - m)
+                    got = flow_jacobian_ad(model, config, state)
+                    want = jacobian(flow_map(model, config), state.to_vector())
+                    assert np.abs(got - want).max() <= REAL_PASS_RTOL * np.abs(want).max(), config
 
 
 def test_separable_sweeps_preserve_structure(oscillator, oscillator_state):

@@ -128,7 +128,8 @@ def test_package_import_leaves_the_process_pool_unloaded():
     assert proc.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("name", ["tokamak", "quad3", "oscillator"])
+# quad17: an odd N >= 17, where a batched complex-step pass runs GEMMs of another shape
+@pytest.mark.parametrize("name", ["tokamak", "quad3", "oscillator", "quad17"])
 def test_sweep_rows_are_per_point_reports(request, name):
     model, state = request.getfixturevalue(name), request.getfixturevalue(f"{name}_state")
     grid = default_h_grid(count=4)

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_defect import tokamak_cases
 
-from sympdefect.autodiff import STEP, NonFiniteError
-from sympdefect.defect import analyze, flow_jacobian_ad
+from sympdefect.autodiff import STEP, NonFiniteError, jacobian
+from sympdefect.defect import analyze, flow_jacobian_ad, flow_map
 from sympdefect.experiments import energy_drift_run
 from sympdefect.hamiltonians import TokamakModel, quadratic_model
 from sympdefect.integrators import (
@@ -616,8 +616,15 @@ def test_flow_jacobian_rejects_a_seed_as_the_numpy_route(scheme, tokamak, tokama
         (nan, (NonFiniteError, "seed point has non-finite entries")),
         (batch, (ValueError, "seed point must be a one-dimensional vector")),
     ):
-        for model in (NumpyTokamak(), tokamak):
+        # the quadratic model's real pass checks its seed as the complex pass does
+        for model in (NumpyTokamak(), tokamak, quadratic_model(3)):
             assert _outcome(lambda: [flow_jacobian_ad(model, config, state)]) == want
+    # a state of the wrong size fails as in the complex pass, with numpy's ValueError
+    if scheme.counts:
+        quad, wrong = quadratic_model(2), PhaseState(q, p)
+        want = _outcome(lambda: [jacobian(flow_map(quad, config), wrong.to_vector())])
+        assert want[0] is ValueError
+        assert _outcome(lambda: [flow_jacobian_ad(quad, config, wrong)]) == want
 
 
 def test_float_kernel_em_rejects_a_non_finite_matrix(tokamak, tokamak_state):
