@@ -21,6 +21,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -116,7 +117,7 @@ def parse_config_file(path: str) -> dict:
         try:
             out[key] = SETTINGS[key].type(raw.strip())
         except ValueError as exc:
-            raise ConfigError(f"bad value for {key}: {exc}") from exc
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return out
 
 
@@ -186,18 +187,21 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (float, np.floating)):
-        return _fmt(float(value))
-    return str(value)
+def _spec(kind: type) -> str:
+    """A CSV cell's % conversion by its type: None empty, floats as `_fmt` writes them, else str."""
+    if kind is type(None):
+        return "%.0s"
+    return "%.17g" if issubclass(kind, (float, np.floating)) else "%s"
 
 
 def _write_csv(out: str | None, header: list[str], rows: list[list]) -> None:
-    text = ",".join(header) + "\n"
-    text += "".join(",".join(_cell(v) for v in row) + "\n" for row in rows)
-    _write_text(out, text)
+    formats: dict[tuple, str] = {}  # the cell types of a row -> its line's % format
+    lines = [",".join(header) + "\n"]
+    for row in rows:
+        types = tuple(map(type, row))
+        fmt = formats.get(types) or formats.setdefault(types, ",".join(map(_spec, types)) + "\n")
+        lines.append(fmt % tuple(row))
+    _write_text(out, "".join(lines))
 
 
 def _write_text(out: str | None, text: str) -> None:
@@ -406,28 +410,35 @@ def cmd_selftest(cfg: argparse.Namespace) -> int:
 # -- argument parsing -----------------------------------------------------
 
 
+COMMANDS = {  # subcommand -> help text
+    "trajectory": "integrate an orbit and write it as CSV",
+    "defect-sweep": "defect norms over an (M, h) grid with order fits",
+    "jtilde": "print the transformed structure matrix at one setting",
+    "energy-drift": "long-run energy error comparison",
+    "optimality": "measured defect blocks vs the closed-form oracle",
+    "sv-orders": "per-block deviation orders of the compositions",
+    "volume": "volume defect and the determinant identity",
+    "selftest": "gate lines of acceptance criteria 1-9 and 11 (criterion 10 needs pytest or energy-drift)",
+}
+
+
 def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The parser; --config and SETTINGS go on the subcommand `argv` names, or on all if None."""
+    """The parser; --config and SETTINGS go on the subcommand `argv` names (not a command: on
+    none), or on all if None.  One per such choice and process, shared: parse_args keeps it."""
     invoked = None if argv is None else next((a for a in argv if not a.startswith("-")), "")
+    return _parser(invoked if invoked is None or invoked in COMMANDS else "")
+
+
+@lru_cache(maxsize=None)
+def _parser(invoked: str | None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sympdefect",
         description="Block-structured symplectic defect measurements for "
         "fixed-point-iterated integrators.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, func, desc in (
-        ("trajectory", cmd_trajectory, "integrate an orbit and write it as CSV"),
-        ("defect-sweep", cmd_defect_sweep, "defect norms over an (M, h) grid with order fits"),
-        ("jtilde", cmd_jtilde, "print the transformed structure matrix at one setting"),
-        ("energy-drift", cmd_energy_drift, "long-run energy error comparison"),
-        ("optimality", cmd_optimality, "measured defect blocks vs the closed-form oracle"),
-        ("sv-orders", cmd_sv_orders, "per-block deviation orders of the compositions"),
-        ("volume", cmd_volume, "volume defect and the determinant identity"),
-        ("selftest", cmd_selftest,
-         "gate lines of acceptance criteria 1-9 and 11 (criterion 10 needs pytest or energy-drift)"),
-    ):
+    for name, desc in COMMANDS.items():
         p = sub.add_parser(name, help=desc, description=desc)
-        p.set_defaults(func=func)
         if invoked in (None, name):
             p.add_argument("--config", metavar="PATH", help="key = value settings file")
             for key, setting in SETTINGS.items():
@@ -440,8 +451,10 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv).parse_args(argv)
+    # cmd_<subcommand, "-" as "_">, looked up now: the parsers outlive a patched one (a tracer)
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(resolve_config(args))
+        return command(resolve_config(args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

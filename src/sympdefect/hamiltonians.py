@@ -23,12 +23,13 @@ complex step runs it on the real part, through one cache keyed on position
 value (0.0 and -0.0 are one position), so once per distinct position of a
 pass, and takes its tangents from those derivatives (tangent-linear mode
 with the whole potential as one elemental function).  Real float states
-step on Python floats (`TokamakModel.float_step`), through a one-entry memo.
-`TokamakModel.linearized_step` runs that step's own arithmetic, every side,
-through the position cache and carries its Jacobian beside it on 3 x 3 blocks
-of Python floats (the whole step as one elemental function): the tokamak's
-flow Jacobians come from it (`defect.flow_jacobians`), and complex steps, the
-cross-check and the fallback where it fails, take the numpy route."""
+step on Python floats (`TokamakModel.float_step`) through a one-entry memo,
+which a float-held state's energy reads too.  `TokamakModel.linearized_step`
+runs that step's own arithmetic, every side, through the position cache and
+carries its Jacobian beside it on 3 x 3 blocks of Python floats (the whole
+step as one elemental function): the tokamak's flow Jacobians come from it
+(`defect.flow_jacobians`), and complex steps, the cross-check and the
+fallback where it fails, take the numpy route."""
 
 from __future__ import annotations
 
@@ -257,8 +258,8 @@ class HamiltonianModel:
         return jac[:n, :n], jac[n:, n:], jac[:n, n:]
 
     def energy(self, state: PhaseState) -> float:
-        # a diverging orbit passes finite states whose energy exceeds the
-        # float range; that energy is inf, with no numpy warning
+        """H(z) by `value` on the state's arrays; inf, with no numpy warning, past the float
+        range (a diverging orbit passes such finite states)."""
         with np.errstate(over="ignore"):
             return float(self.value(state.q, state.p))
 
@@ -572,6 +573,17 @@ class TokamakModel(HamiltonianModel):
 
     def vector_potential(self, q: np.ndarray) -> np.ndarray:
         return self.potential_and_jacobian(q, with_jacobian=False)[0]
+
+    def energy(self, state: PhaseState) -> float:
+        """H(z), bitwise `value`'s; a float-held state's on its floats and the memo entry its step
+        left (the field order `value` reads), so the state stays float-held."""
+        if state.floats is None:
+            return super().energy(state)
+        q, p = state.floats
+        a = self._field_at(q, 1)
+        d = np.array((p[0] - a[0], p[1] - a[1], p[2] - a[2]))
+        with np.errstate(over="ignore"):
+            return float(0.5 * (d @ d))
 
     def value(self, q, p):
         # the memo entry with dA/dq, which the next step's gradient here reads

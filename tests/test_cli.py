@@ -367,7 +367,7 @@ def test_config_file_errors(tmp_path, capsys):
     bad_value.write_text("m = abc\n")
     rc, _, err = run_cli(capsys, ["trajectory", "--config", str(bad_value)])
     assert rc == 2
-    assert "bad value for m" in err
+    assert ":1:" in err and "bad value for m" in err
 
     rc, _, err = run_cli(
         capsys, ["trajectory", "--config", str(tmp_path / "missing.cfg")]
@@ -453,6 +453,55 @@ def test_identical_runs_are_bitwise_identical(capsys):
     rc2, out2, _ = run_cli(capsys, argv)
     assert rc1 == rc2 == 0
     assert out1 == out2
+
+
+def test_repeated_calls_leak_no_settings_into_the_shared_parsers(tmp_path, capsys, monkeypatch):
+    # one parser per subcommand serves every call: a flag or config key of one
+    # call must not reach the next, and every output (each --help too) must be
+    # the bytes a fresh parser gives
+    config = tmp_path / "traj.cfg"
+    config.write_text("scheme = p-implicit\nh = 0.05\nstride = 4\n")
+    calls = [
+        ["trajectory", "--steps", "8", "--scheme", "sv-qp", "--M1", "2"],
+        ["trajectory", "--steps", "8"],
+        ["trajectory", "--config", str(config), "--steps", "8"],
+        ["trajectory", "--steps", "8", "--hamiltonian", "harmonic"],
+        ["trajectory", "--steps", "8"],
+        ["jtilde", "--h", "0.05", "--M", "2"],
+        ["optimality", "--N", "2", "--M", "1"],
+        ["jtilde"],
+        ["trajectory", "--steps", "0", "--h", "-1"],
+        ["trajectry"],
+        ["--help"],
+        *([name, "--help"] for name in cli.COMMANDS),
+        ["trajectory", "--steps", "8"],
+    ]
+
+    def outputs():
+        out = []
+        for argv in calls:
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # --help and argparse errors
+                rc = exc.code
+            captured = capsys.readouterr()
+            out.append((rc, captured.out, captured.err))
+        return out
+
+    shared = outputs()
+    assert build_parser(["jtilde", "--h", "1"]) is build_parser(["jtilde"]) is not build_parser(None)
+    assert build_parser(["trajectry"]) is build_parser(["defect_sweep"])
+    monkeypatch.setattr(cli, "_parser", cli._parser.__wrapped__)  # a fresh parser per call
+    assert outputs() == shared
+    assert shared[1] == shared[4] == shared[-1] != shared[0]
+
+
+def test_main_runs_the_command_patched_after_its_parser_was_built(monkeypatch):
+    # a tracer patches cmd_* module attributes; the cached parser must not
+    # hold on to the functions it saw when it was built
+    build_parser(["jtilde"])
+    monkeypatch.setattr(cli, "cmd_jtilde", lambda cfg: 7)
+    assert main(["jtilde"]) == 7
 
 
 def test_module_entry_point_requires_a_subcommand():

@@ -1,5 +1,6 @@
 import math
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -398,6 +399,31 @@ def test_float_path_rejects_overflowing_field_radius(tokamak, x, as_input):
     # float and complex positions run the same body, so both must raise
     with pytest.raises(NonFiniteIterateError, match="radius"):
         tokamak.potential_and_jacobian(as_input(np.array([x, 0.0, 0.0])))
+
+
+@pytest.mark.parametrize(
+    "q, momentum, error",
+    [((0.0, 0.0, 0.01), 0.0, AxisSingularityError),  # on the torus axis
+     ((1e110, 0.0, 0.0), 0.0, NonFiniteIterateError),  # F(r) overflows
+     ((1e200, 0.0, 0.0), 0.0, NonFiniteIterateError),  # r itself overflows
+     ((0.16, 0.0, 0.003), 1e200, None)],  # |p - A|^2 overflows: inf
+    ids=["axis", "flux-overflow", "radius-overflow", "energy-overflow"],
+)
+def test_float_held_energy_fails_as_the_array_route(q, momentum, error):
+    # the float-held state's energy, which reads its floats, and its array
+    # twin's raise the same error and message, or agree, with no numpy warning
+    held = PhaseState(q, (momentum,) * 3)
+    assert held.floats is not None
+    outcomes = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for state in (PhaseState(np.array(q), np.full(3, momentum)), held):
+            try:
+                outcomes.append(TokamakModel().energy(state))
+            except ValueError as exc:
+                outcomes.append((type(exc), str(exc)))
+    assert outcomes[1] == outcomes[0]
+    assert (outcomes[0] == math.inf) if error is None else (outcomes[0][0] is error)
 
 
 def test_float_path_matches_generic_path(tokamak, tokamak_state):

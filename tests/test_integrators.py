@@ -10,7 +10,7 @@ from test_defect import tokamak_cases
 from sympdefect.autodiff import STEP, NonFiniteError, jacobian
 from sympdefect.defect import analyze, flow_jacobian_ad, flow_map
 from sympdefect.experiments import energy_drift_run
-from sympdefect.hamiltonians import TokamakModel, quadratic_model
+from sympdefect.hamiltonians import HamiltonianModel, TokamakModel, quadratic_model
 from sympdefect.integrators import (
     IntegrationError,
     NonFiniteIterateError,
@@ -866,8 +866,8 @@ def test_float_held_divergence_matches_the_array_orbit(tokamak, tokamak_state):
     ids=["linear-implicit-em", "q-implicit-M2", "sv-pq-1-3"],
 )
 def test_drift_run_builds_arrays_only_at_sampled_steps(config, tokamak, tokamak_state, monkeypatch):
-    # a float-held state's first q or p read builds its arrays; 2000 steps
-    # at stride 20 sample 100 states past the initial one
+    # a float-held state's first q or p read builds its arrays; the energies
+    # of the 100 states sampled past the initial one read the floats, so none
     reads = []
     held = type(PhaseState((0.0,), (0.0,)))  # the float form's class
     convert = held.__getattr__
@@ -879,4 +879,28 @@ def test_drift_run_builds_arrays_only_at_sampled_steps(config, tokamak, tokamak_
     monkeypatch.setattr(held, "__getattr__", counted)
     (series,) = energy_drift_run(tokamak, [config], tokamak_state, steps=2000, stride=20)
     assert len(series.step_indices) == 101
-    assert len(reads) == 100
+    assert len(reads) == 0
+    assert all(state.floats is not None for state in series.states[1:])
+
+
+@pytest.mark.parametrize("scheme", [s for s in Scheme if s not in EXACT_SCHEMES])
+def test_sampled_energies_are_the_array_route(scheme, tokamak, tokamak_state, monkeypatch):
+    # a float-held state's energy reads its floats; the array route builds its
+    # arrays for `value`: states and energies alike, bitwise, over seeded starts
+    rng = np.random.default_rng(29)
+    config = SchemeConfig(scheme, 0.1, M=2, M1=1, M2=3)
+    starts = [PhaseState(tokamak_state.q + 1e-3 * rng.standard_normal(3),
+                         tokamak_state.p * (1.0 + 0.05 * rng.standard_normal(3))) for _ in range(3)]
+
+    def runs():
+        out = []
+        for start in starts:
+            traj = integrate(tokamak, config, start, 300, stride=1)
+            (series,) = energy_drift_run(tokamak, [config], start, steps=300, stride=1)
+            out += [traj.states.tobytes(), traj.energies.tobytes(), series.signed_errors.tobytes(),
+                    np.array([z.to_vector() for z in series.states]).tobytes()]
+        return out
+
+    floats = runs()
+    monkeypatch.setattr(TokamakModel, "energy", HamiltonianModel.energy)
+    assert runs() == floats
