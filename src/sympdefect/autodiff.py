@@ -10,12 +10,11 @@ float computation, imaginary parts its first-order tangents, and
 truncated iterations are differentiated exactly as executed.  Model code
 needs no number type of its own, only operations that act column by
 column on a trailing batch axis and primitives that accept complex input
-(``cmath``).  A model may also take a whole evaluation as one elemental
-function, as the tokamak potential does: real parts from its float body,
-tangents from its closed-form derivatives.  The tokamak's flow Jacobians
-skip this pass (its kernel gives them), as do the quadratic models' sweep
-steps, each linear and so its own tangent map (`defect.flow_jacobians`);
-a pass here is their fallback and cross-check, and the exact maps' route.
+(``cmath``).  No tokamak Jacobian runs here (its kernel gives them all),
+nor do the quadratic models' sweep steps, each linear and so its own
+tangent map (`defect.flow_jacobians`); a pass here is every other
+Jacobian's route (the exact maps') and the quadratic models' cross-check.
+:func:`seed_point` checks the point a Jacobian is taken at, for every route.
 """
 
 from __future__ import annotations
@@ -48,6 +47,18 @@ def _seed(n: int) -> np.ndarray:
     return seed
 
 
+def seed_point(x) -> np.ndarray:
+    """x as a float64 vector to take a Jacobian at: ValueError if it is not
+    one-dimensional, NonFiniteError if an entry is not finite."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError("seed point must be a one-dimensional vector")
+    # a Python sum is the cheap test; finite entries may overflow it, as in linalg.solve
+    if not math.isfinite(sum(x.tolist())) and not np.isfinite(x).all():
+        raise NonFiniteError("seed point has non-finite entries")
+    return x
+
+
 def jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, copies: int | None = None) -> np.ndarray:
     """Jacobian of a vector map at x, from one complex-step pass over all inputs.
 
@@ -58,12 +69,7 @@ def jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, copies: int 
     returns the (K, m, n) stack of their Jacobians; the map may give copy k
     its own parameters (a step size), so one pass covers K settings.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("seed point must be a one-dimensional vector")
-    # a Python sum is the cheap test; finite entries may overflow it, as in linalg.solve
-    if not math.isfinite(sum(x.tolist())) and not np.isfinite(x).all():
-        raise NonFiniteError("seed point has non-finite entries")
+    x = seed_point(x)
     n = x.size
     seed = _seed(n) if copies is None else np.tile(_seed(n), copies)
     out = np.asarray(fn(seed + x[:, None]), dtype=complex)

@@ -7,8 +7,8 @@ N x N block vanishes identically (which one depends on the implicit side),
 and the remaining blocks deviate at order h^(M+1).  This module computes D
 by forward AD, from a model's tangent-linear kernel (the tokamak's), from
 a linear step's own real pass (the quadratic models' sweep schemes) or a
-complex-step pass (or finite differences, or closed-form recursions where
-available), and packages the block decomposition of J~.
+complex-step pass (the exact maps; or finite differences, or closed-form
+recursions where available), and packages the block decomposition of J~.
 `defect_report` decomposes one Jacobian or a (K, 2N, 2N) stack of them
 with one body: a stack's figures are arrays over K, each bitwise what
 the report of that Jacobian alone gives.  The two determinants are
@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .autodiff import finite_difference_jacobian, jacobian
+from .autodiff import finite_difference_jacobian, jacobian, seed_point
 from .hamiltonians import SwappedModel
 from .integrators import Scheme, SchemeConfig, momentum_iterates, step_p_implicit, step_q_implicit
 from .state import PhaseState
@@ -54,7 +54,7 @@ def flow_map(model, config: SchemeConfig, h=None):
 def flow_jacobian_ad(model, config: SchemeConfig, state: PhaseState) -> np.ndarray:
     """Jacobian of the one-step map by forward AD (primary route), `flow_jacobians` of one
     config: D straight from a model's kernel (the tokamak's), from a linear step's real
-    pass (the quadratic models'), else from a complex-step pass."""
+    pass (the quadratic models'), else from a complex-step pass (the exact maps')."""
     return flow_jacobians(model, [config], state)[0]
 
 
@@ -63,41 +63,47 @@ _KERNEL_SIDES = {Scheme.P_IMPLICIT: "p", Scheme.Q_IMPLICIT: "q", Scheme.LINEAR_I
 
 
 def flow_jacobians(model, configs: list[SchemeConfig], state: PhaseState) -> np.ndarray:
-    """The (K, 2N, 2N) flow Jacobians at K configs of one scheme and sweep counts.
+    """The (K, 2N, 2N) flow Jacobians at K configs of one scheme and sweep counts, at a
+    state checked and cast to float64 as a seed point (`autodiff.seed_point`).
 
-    A model with a kernel (`linearized_step`) gives D straight from it at a real
-    float64 state: D of the step for a one-sided scheme or em, and for a composition
-    D_second @ D_first of its half steps (h/2, M1 then M2), one stacked product.
+    A model with a kernel (`linearized_step`, the tokamak) gives D straight from it, and
+    refuses a complex state with TypeError: D of the step for a one-sided scheme or em, and
+    for a composition D_second @ D_first of its half steps (h/2, M1 then M2), one stacked
+    product.  Where the kernel raises at a config, so does the grid: with the error of that
+    config's float step, which names the iterate, or else with the kernel's own.
     A model with a constant coupling (`coupling`, the quadratic models) makes a sweep
-    scheme's step linear, its own D: at a finite real float64 state D is the step of
-    the unit columns, one real pass per config, so a grid row is its per-point D.
-    Otherwise, and where the kernel raises, one complex-step pass whose seed copy k
-    steps with configs[k].h (a lone config with its float h), which raises the numpy
-    route's error."""
+    scheme's step linear, its own D: D is the step of the unit columns, one real pass per
+    config, so a grid row is its per-point D.  Otherwise one complex-step pass whose seed
+    copy k steps with configs[k].h (a lone config with its float h)."""
     z = state.to_vector()
     scheme = configs[0].scheme
-    real = z.ndim == 1 and z.dtype.char == "d"
     step = getattr(model, "linearized_step", None)
-    if step is not None and real and (scheme.composition or scheme in _KERNEL_SIDES):
+    if step is not None and z.dtype.kind == "c":
+        raise TypeError("flow Jacobians from the kernel (linearized_step) take a real state")
+    z = seed_point(z)
+    if step is not None and (scheme.composition or scheme in _KERNEL_SIDES):
         n = z.size // 2
         q, p = z[:n].tolist(), z[n:].tolist()
-        try:
-            if scheme.composition:  # the first half solves for the explicit side
-                halves = [step(scheme.explicit_side, q, p, 0.5 * c.h, c.M1) for c in configs]
-                # D_second's entries, then D_first's
-                jacs = [step(scheme.implicit_side, qh, ph, 0.5 * c.h, c.M2)[2] + first
-                        for (qh, ph, first), c in zip(halves, configs)]
-            else:
-                jacs = [step(_KERNEL_SIDES[scheme], q, p, c.h, c.M)[2] for c in configs]
-        except (ValueError, ArithmeticError):
-            pass  # the complex-step pass below raises the numpy route's error
+        jacs = []
+        for c in configs:
+            try:
+                if scheme.composition:  # the first half solves for the explicit side
+                    qh, ph, first = step(scheme.explicit_side, q, p, 0.5 * c.h, c.M1)
+                    # D_second's entries, then D_first's
+                    jacs.append(step(scheme.implicit_side, qh, ph, 0.5 * c.h, c.M2)[2] + first)
+                else:
+                    jacs.append(step(_KERNEL_SIDES[scheme], q, p, c.h, c.M)[2])
+            except (ValueError, ArithmeticError) as exc:
+                error = exc
+                break
         else:
             stack = np.array(jacs).reshape(len(configs), -1, 2 * n, 2 * n)
             return stack[:, 0] @ stack[:, 1] if scheme.composition else stack[:, 0]
+        scheme.step(model, PhaseState.from_vector(z), c, c.h)  # the float step names the iterate
+        raise error
     # an overflow ends in the steps' finiteness checks, not in a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        if (getattr(model, "coupling", None) is not None and scheme.counts and real
-                and math.isfinite(sum(z.tolist()))):  # else the complex pass rejects the seed
+        if getattr(model, "coupling", None) is not None and scheme.counts:
             eye = np.eye(z.size)
             return np.array([flow_map(model, c)(eye) for c in configs])
         if len(configs) == 1:

@@ -13,23 +13,19 @@ field profile f(r) = r (1 + r^2) / (R (1 + a r)).  After nondimensionalizing
 with the gyration scales (L0, T0, P0) the Hamiltonian is the minimally
 coupled kinetic energy H = |p - A(q)|^2 / 2.
 
-All model callables accept float or complex arrays, so flows built on them
-can be differentiated by complex-step forward mode unchanged.  Gradients
-and the tokamak potential also take batches (N, K) with a trailing batch
-axis, so one step, and one forward-mode pass, covers K states; `value` and
-`energy` take single states only.  The tokamak potential has one float
-body, which returns A, dA/dq and, on request, the Hessians of A.  A
-complex step runs it on the real part, through one cache keyed on position
-value (0.0 and -0.0 are one position), so once per distinct position of a
-pass, and takes its tangents from those derivatives (tangent-linear mode
-with the whole potential as one elemental function).  Real float states
-step on Python floats (`TokamakModel.float_step`) through a one-entry memo,
-which a float-held state's energy reads too.  `TokamakModel.linearized_step`
-runs that step's own arithmetic, every side, through the position cache and
-carries its Jacobian beside it on 3 x 3 blocks of Python floats (the whole
-step as one elemental function): the tokamak's flow Jacobians come from it
-(`defect.flow_jacobians`), and complex steps, the cross-check and the
-fallback where it fails, take the numpy route."""
+The quadratic models' callables accept float or complex arrays, so their
+flows can be differentiated by complex-step forward mode unchanged, and
+batches (N, K) with a trailing batch axis, so one step covers K states;
+`value` and `energy` take single states only.  The tokamak potential has
+one float body, which returns A, dA/dq and, on request, the Hessians of A;
+its numpy callables take one real position.  Real float states step on
+Python floats (`TokamakModel.float_step`), a batch column by column,
+through a one-entry memo, which a float-held state's energy reads too.
+`TokamakModel.linearized_step` runs that step's own arithmetic, every
+side, through a position-keyed cache and carries its Jacobian beside it
+on 3 x 3 blocks of Python floats (tangent-linear mode, with the whole step
+as one elemental function): every tokamak flow Jacobian comes from it
+(`defect.flow_jacobians`)."""
 
 from __future__ import annotations
 
@@ -39,15 +35,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import jacobian
-from .linalg import _check_square, _require_finite, real_product, solve3, transposed_product
+from .linalg import _check_square, _require_finite, real_product, solve3
 from .state import NonFiniteIterateError, PhaseState
 
 # Positions closer to the torus axis than this fraction of R are rejected
 # because the potential has a genuine singularity at rho = 0.
 AXIS_TOLERANCE = 1e-9
 
-# Positions the pass cache (`linearized_step`, complex steps) holds before it is emptied: one
-# state's default-grid traffic reads 31 for q-implicit M=1..3, 81 for every scheme; 151 at 50 h.
+# Positions the pass cache (`linearized_step`) holds before it is emptied: one state's
+# default-grid traffic reads 31 for q-implicit M=1..3, 81 for every scheme; 151 at 50 h.
 PASS_POSITIONS = 128
 
 
@@ -339,11 +335,11 @@ class TokamakModel(HamiltonianModel):
     H(q, p) = |p - A(q)|^2 / 2 with A the scaled vector potential.  The
     derivatives of A are closed forms in F, its derivative f and f', so
     differentiating a flow never runs through F's closed form, whose
-    branches and series loop are exact only in value.  Complex steps take
-    their values from the float body that `float_step` runs too, and
-    `linearized_step` runs `float_step`'s arithmetic itself; a position
-    whose radius r or flux F(r) overflows raises NonFiniteIterateError on
-    all three.  The Hessian blocks are closed forms from the same derivatives.
+    branches and series loop are exact only in value.  The numpy callables
+    read the float body that `float_step` runs too, at one real position, and
+    `linearized_step` runs `float_step`'s arithmetic itself; a position whose
+    radius r or flux F(r) overflows raises NonFiniteIterateError on all three.
+    The Hessian blocks are closed forms from the same derivatives.
     """
 
     dim = 3
@@ -357,7 +353,7 @@ class TokamakModel(HamiltonianModel):
         # the float kernel's memo (position, `_field` list) holds one entry: sweeps, adjacent
         # steps and sampled energies revisit only the last position
         self._memo: tuple = (None, None)
-        self._arrays: tuple = (None, None, None)  # `potential_and_jacobian`'s last (key, A, dA/dq)
+        self._arrays: tuple = (None, None, None)  # `potential_and_jacobian`'s last (q, A, dA/dq)
         self._passes: dict[tuple, list] = {}  # the pass cache: position -> `_field` list
 
     def _field(self, x: float, y: float, z: float, order: int) -> list[float]:
@@ -437,8 +433,8 @@ class TokamakModel(HamiltonianModel):
         return field
 
     def _pass_field(self, q: tuple, order: int) -> list[float]:
-        """`_field` at a position q (a 3-tuple) of `linearized_step` or a complex-step pass, through
-        the pass cache: each entry holds the highest order asked there; emptied at PASS_POSITIONS."""
+        """`_field` at a position q (a 3-tuple) of `linearized_step`, through the pass cache:
+        each entry holds the highest order asked there; emptied at PASS_POSITIONS."""
         field = self._passes.get(q)
         if field is None or len(field) <= 9 * order:
             if len(self._passes) >= PASS_POSITIONS:
@@ -447,56 +443,29 @@ class TokamakModel(HamiltonianModel):
         return field
 
     def potential_and_jacobian(self, q: np.ndarray, with_jacobian: bool = True):
-        """Dimensionless A(q) and optionally its Jacobian dA/dq.
+        """Dimensionless A(q) and optionally its Jacobian dA/dq at one real position q, a
+        3-vector, from the float body `_field` through the float kernel's memo.
 
-        Float positions run the float body `_field` once per column, a real
-        3-vector through the float kernel's memo.  A complex position x + i t
-        is a complex step: its real part runs the float body, through the
-        pass cache (once per distinct position of a complex-step pass), and
-        the tangents are the exact first-order products dA/dq t and
-        (d^2 A/dq^2) t, each summed in one fixed order per column.  Real
-        parts are therefore bitwise the float body's.  For a batch q of
-        shape (3, K), A has shape (3, K) and dA/dq shape (3, 3, K).  The
-        arrays returned are read-only.  The last input's arrays are kept:
-        a real 3-vector keyed on its values (0.0 and -0.0 are one position),
-        any other input on its shape, dtype and bytes (a float (3, 2) batch
-        and a complex 3-vector can have the same bytes).
+        The arrays returned are read-only.  The last position's arrays are kept, keyed on
+        its values (0.0 and -0.0 are one position).  A complex q raises TypeError: the
+        tokamak's flow Jacobians come from its kernel, `linearized_step`.  A q of any other
+        shape raises ValueError.
         """
-        real = q.dtype.kind != "c"
-        key = tuple(q.tolist()) if real and q.ndim == 1 else (q.shape, q.dtype.char, q.tobytes())
+        if q.dtype.kind == "c":
+            raise TypeError("the tokamak potential takes a real position (flow Jacobians: linearized_step)")
+        if q.shape != (3,):
+            raise ValueError(f"the tokamak potential takes one 3-vector position, got shape {q.shape}")
+        key = tuple(q.tolist())
         last, pot, jac = self._arrays
         if key == last and (jac is not None or not with_jacobian):
             return pot, (jac if with_jacobian else None)
         order = 1 if with_jacobian else 0
-        # rows: A, then dA/dq row-major; one column per batch column
-        if not real:
-            out = self._complex_step(q.reshape(3, -1), order).reshape(-1, *q.shape[1:])
-        elif q.ndim == 1:
-            out = np.array(self._field_at(key, order)[:3 + 9 * order])
-        else:
-            out = np.array(list(map(self._field, *q.tolist(), [order] * q.shape[1]))).T
+        # A, then dA/dq row-major
+        out = np.array(self._field_at(key, order)[:3 + 9 * order])
         out.setflags(write=False)
-        pot, jac = out[:3], (out[3:].reshape(3, 3, *out.shape[1:]) if order else None)
+        pot, jac = out[:3], (out[3:].reshape(3, 3) if order else None)
         self._arrays = key, pot, jac
         return pot, (jac if with_jacobian else None)
-
-    def _complex_step(self, q: np.ndarray, order: int) -> np.ndarray:
-        """The rows of `_field(order)` for a complex (3, K) batch: values from
-        the float body, read from the pass cache once per column (once for a
-        one-state pass, whose columns have equal real bytes), and tangents as
-        first-order products summed in one fixed order per column."""
-        real = q.real.T
-        raw, columns = real.tobytes(), real.tolist()
-        if raw == raw[:24] * len(columns):  # one state's pass: its row broadcasts
-            columns = columns[:1]
-        # entry 3 + 3 r + l of a field is the derivative of its entry r along q_l
-        rows = 3 + 9 * order
-        fields = np.array([self._pass_field(tuple(c), order + 1)[:3 + 3 * rows] for c in columns])
-        slopes = fields[:, 3:].reshape(-1, rows, 3).T * q.imag[:, None, :]
-        out = np.empty((rows, q.shape[1]), dtype=complex)
-        out.real = fields[:, :rows].T
-        out.imag = slopes[0] + slopes[1] + slopes[2]
-        return out
 
     def float_step(self, side: str, q, p, h: float, m: int | None) -> tuple:
         """One step on Python floats from 3-tuples (or lists) q, p to 3-tuples (q~, p~):
@@ -593,7 +562,7 @@ class TokamakModel(HamiltonianModel):
     def grad_q(self, q, p):
         pot, jac = self.potential_and_jacobian(q)
         d = p - pot
-        return -transposed_product(jac, d)
+        return -(jac.T @ d)
 
     def grad_p(self, q, p):
         """p - A(q), also as a tuple for two float 3-tuples (`float_step`'s sweeps)."""

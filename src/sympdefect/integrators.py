@@ -11,7 +11,8 @@ Every step also takes a batch of states (q and p of shape (N, K)) and
 steps each column as it would step that state alone, with a float step
 size h or one per column, h of shape (K,).  A model with a scalar kernel
 `float_step` (the tokamak) steps real float64 states there, a batch column
-by column; complex steps and the other models run the numpy code here.
+by column, and refuses complex steps; the other models run the numpy code
+here, on real states or complex steps.
 A single state comes back holding the kernel's float tuples (`PhaseState`), which the
 next step passes on: an orbit builds arrays only where it reads q or p, at its samples.
 """
@@ -25,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import solve, transposed_product
+from .linalg import solve
 from .state import NonFiniteIterateError, PhaseState
 
 
@@ -243,7 +244,8 @@ def step_linear_implicit_em(model, state: PhaseState, h: float) -> PhaseState:
     The momentum update solves the N x N system
     (I - h dA/dq(q))^T p~ = p - h (dA/dq(q))^T A(q), then
     q~ = q + h (p~ - A(q)).  Requires a model exposing the vector potential
-    and its Jacobian.  A batch solves its K systems in one stacked solve.
+    and its Jacobian at one position; the tokamak steps a batch column by
+    column in its kernel.
     """
     if (out := _float_step(model, state, h, "em")) is not None:
         return out
@@ -253,7 +255,7 @@ def step_linear_implicit_em(model, state: PhaseState, h: float) -> PhaseState:
     q, p = state.q, state.p
     pot, jac = model.potential_and_jacobian(q)
     lhs = _identity(model.dim) - (h * jac).T
-    rhs = p - h * transposed_product(jac, pot)
+    rhs = p - h * (jac.T @ pot)
     pt = solve(lhs, rhs)
     _check_finite(pt, "updated momentum")
     qt = q + h * (pt - pot)

@@ -1,14 +1,14 @@
 """Dense linear algebra for small phase-space matrices.
 
 Only what numpy does not already say in one call lives here: the checked
-solve and its 3 x 3 form on Python floats, the transposed matrix-vector
-product, a real matrix applied to a complex step in real arithmetic, the
-canonical structure matrix, and a Frobenius norm.
+solve and its 3 x 3 form on Python floats, a real matrix applied to a
+complex step in real arithmetic, the canonical structure matrix, and a
+Frobenius norm.
 :func:`solve` also takes the complex steps of :mod:`sympdefect.autodiff`,
 so flows that solve a linear system can be differentiated with no solve
-rule of their own.  :func:`solve` and :func:`transposed_product` also
-take one matrix per column of a batch (see :class:`sympdefect.PhaseState`)
-and give each column what the unbatched call gives it;
+rule of their own.  :func:`solve` also takes one matrix per column of a
+batch (see :class:`sympdefect.PhaseState`) and gives each column what the
+unbatched call gives it;
 :func:`frobenius_norm` takes a stack (K, n, n) and gives each matrix,
 bitwise, what the call on that matrix alone gives it.
 """
@@ -91,19 +91,6 @@ def solve3(a: list, *rhs) -> list:
         x1 = (b1 - r1[1] * x2) / r1[0]
         solutions.append(((b0 - r0[1] * x1 - r0[2] * x2) / r0[0], x1, x2))
     return solutions
-
-
-def transposed_product(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """a^T x; with a of shape (n, n, K) and x of shape (n, K), column by column.
-
-    The batch is one stacked matmul.  Its K matrices are laid out as the
-    transpose of a C-ordered matrix, as a.T is in the 2-D case, so BLAS
-    runs the same product and each column is bitwise the unbatched result.
-    """
-    if x.ndim == 1:
-        return a.T @ x
-    stack = np.ascontiguousarray(a.transpose(2, 0, 1))  # no copy for a tokamak Jacobian
-    return (stack.transpose(0, 2, 1) @ x.T[:, :, None])[:, :, 0].T
 
 
 def real_product(a: np.ndarray, x) -> np.ndarray:

@@ -1,19 +1,20 @@
 import math
+import re
 import types
 import warnings
 
 import numpy as np
 import pytest
+from mp_tokamak import TokamakReference
 
 from sympdefect import hamiltonians
-from sympdefect.autodiff import STEP, finite_difference_jacobian
+from sympdefect.autodiff import finite_difference_jacobian
 from sympdefect.defect import analyze
 from sympdefect.experiments import default_h_grid, defect_sweep, grid_report, sv_block_orders
 from sympdefect.hamiltonians import (
     AxisSingularityError,
     CharacteristicScales,
     F_integral,
-    HamiltonianModel,
     PhysicalParams,
     QuadraticModel,
     SwappedModel,
@@ -263,14 +264,13 @@ def test_tokamak_hessian_blocks(tokamak, tokamak_state):
     np.testing.assert_allclose(pq.T, fd_qp, atol=1e-10)
 
 
-def test_tokamak_closed_form_hessian_blocks_match_complex_step(tokamak, tokamak_state):
+def test_tokamak_closed_form_hessian_blocks_match_the_mpmath_reference(tokamak, tokamak_state):
     rng = np.random.default_rng(5)
     for _ in range(20):
         q = tokamak_state.q * (1.0 + 0.1 * rng.standard_normal(3))
         p = tokamak_state.p * 10.0 * rng.standard_normal(3)
         closed = tokamak.hessian_blocks(q, p)
-        stepped = HamiltonianModel.hessian_blocks(tokamak, q, p)
-        for got, want in zip(closed, stepped):
+        for got, want in zip(closed, TokamakReference(tokamak).hessian_blocks(q, p)):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     # the swapped model conjugates the closed-form blocks, with no code of its own
     qq, pp, pq = SwappedModel(tokamak).hessian_blocks(-p, q)
@@ -329,76 +329,40 @@ def test_field_memo_serves_an_entry_only_at_its_order(tokamak_state):
     assert pot.shape == (3,) and jac.shape == (3, 3)
 
 
-def _complex_step(q):
-    return q + STEP * 1j
-
-
 def test_float_path_memo_arrays_are_read_only():
-    # complex steps share the memo and get read-only arrays as well
     model = TokamakModel()
-    q_float = reference_initial_state(model).q
-    for q in (q_float, _complex_step(q_float)):
-        pot, jac = model.potential_and_jacobian(q)
-        pot_before, jac_before = pot.copy(), jac.copy()
-        with pytest.raises(ValueError):
-            pot[0] = 1.0
-        with pytest.raises(ValueError):
-            jac[1, 2] = 1.0
-        with pytest.raises(ValueError):
-            jac.T[0] += 1.0
-        pot_again, jac_again = model.potential_and_jacobian(q)
-        assert pot_again is pot and jac_again is jac
-        assert np.array_equal(pot_again, pot_before)
-        assert np.array_equal(jac_again, jac_before)
-        moved = model.vector_potential(q + 1e-3)
-        with pytest.raises(ValueError):
-            moved[2] = 0.0
-
-
-@pytest.mark.parametrize("as_input", [np.asarray, _complex_step], ids=["float", "complex"])
-def test_batch_potential_matches_each_column_bitwise(tokamak, tokamak_state, as_input):
-    rng = np.random.default_rng(4)
-    batch = as_input(tokamak_state.q[:, None] + 0.01 * rng.standard_normal((3, 5)))
-    pot, jac = TokamakModel().potential_and_jacobian(batch)
-    assert pot.shape == (3, 5) and jac.shape == (3, 3, 5)
+    q = reference_initial_state(model).q
+    pot, jac = model.potential_and_jacobian(q)
+    pot_before, jac_before = pot.copy(), jac.copy()
     with pytest.raises(ValueError):
-        jac[0, 0, 0] = 1.0
-    for k in range(5):
-        pot_k, jac_k = tokamak.potential_and_jacobian(batch[:, k].copy())
-        assert np.array_equal(pot[:, k], pot_k)
-        assert np.array_equal(jac[:, :, k], jac_k)
+        pot[0] = 1.0
+    with pytest.raises(ValueError):
+        jac[1, 2] = 1.0
+    with pytest.raises(ValueError):
+        jac.T[0] += 1.0
+    pot_again, jac_again = model.potential_and_jacobian(q)
+    assert pot_again is pot and jac_again is jac
+    assert np.array_equal(pot_again, pot_before)
+    assert np.array_equal(jac_again, jac_before)
+    moved = model.vector_potential(q + 1e-3)
+    with pytest.raises(ValueError):
+        moved[2] = 0.0
 
 
-def test_memo_tells_a_float_batch_from_a_complex_vector_with_equal_bytes(tokamak_state):
-    # the complex 3-vector (x + i y) and the float (3, 2) batch [x, y] are
-    # the same bytes; each must get its own potential
-    x = tokamak_state.q
-    y = x + np.array([2e-3, -1e-3, 5e-3])
-    vector = x + 1j * y
-    batch = np.stack([x, y], axis=1)
-    assert vector.tobytes() == batch.tobytes()
-    fresh = TokamakModel()
-    want_vector = fresh.potential_and_jacobian(vector)
-    want_batch = TokamakModel().potential_and_jacobian(batch)
-    for first, second, want in ((vector, batch, want_batch), (batch, vector, want_vector)):
-        model = TokamakModel()
-        model.potential_and_jacobian(first)
-        pot, jac = model.potential_and_jacobian(second)
-        assert pot.dtype == want[0].dtype and pot.shape == want[0].shape
-        assert np.array_equal(pot, want[0]) and np.array_equal(jac, want[1])
-    assert np.array_equal(want_batch[0][:, 1], fresh.vector_potential(y))
+def test_potential_takes_one_position(tokamak_state):
+    # a batch, or a vector of another length, is refused before the float body reads it
+    # (a complex position: test_tokamak_refuses_complex_states)
+    q = tokamak_state.q
+    for bad in (q[:, None], np.stack([q, q + 1e-3], axis=1), q[:2], np.append(q, 0.0)):
+        with pytest.raises(ValueError, match=re.escape(f"one 3-vector position, got shape {bad.shape}")):
+            TokamakModel().potential_and_jacobian(bad)
 
 
-@pytest.mark.parametrize(
-    "x, as_input",
-    [(1e110, np.asarray), (1e200, np.asarray), (1e110, _complex_step), (1e200, _complex_step)],
-    ids=["flux-overflow", "radius-overflow", "flux-overflow-complex", "radius-overflow-complex"],
-)
-def test_float_path_rejects_overflowing_field_radius(tokamak, x, as_input):
-    # at 1e110 the radius is finite but F(r) overflows; at 1e200 r itself does;
-    # float and complex positions run the same body, so both must raise
+@pytest.mark.parametrize("x", [1e110, 1e200], ids=["flux-overflow", "radius-overflow"])
+def test_float_path_rejects_overflowing_field_radius(tokamak, x):
+    # at 1e110 the radius is finite but F(r) overflows; at 1e200 r itself does
     with pytest.raises(NonFiniteIterateError, match="radius"):
-        tokamak.potential_and_jacobian(as_input(np.array([x, 0.0, 0.0])))
+        tokamak.potential_and_jacobian(np.array([x, 0.0, 0.0]))
 
 
 @pytest.mark.parametrize(
@@ -424,21 +388,6 @@ def test_float_held_energy_fails_as_the_array_route(q, momentum, error):
                 outcomes.append((type(exc), str(exc)))
     assert outcomes[1] == outcomes[0]
     assert (outcomes[0] == math.inf) if error is None else (outcomes[0][0] is error)
-
-
-def test_float_path_matches_generic_path(tokamak, tokamak_state):
-    # the complex pass must run the float step's arithmetic exactly, for
-    # every seeded direction; log(rho / R) sits near 1, where cmath.log's
-    # real part and math.log differ by an ulp
-    rng = np.random.default_rng(7)
-    for q in tokamak_state.q + 0.01 * rng.standard_normal((300, 3)):
-        pot_f, jac_f = tokamak.potential_and_jacobian(q)
-        for j in range(3):
-            z = q.astype(complex)
-            z[j] += STEP * 1j
-            pot_c, jac_c = tokamak.potential_and_jacobian(z)
-            assert np.array_equal(pot_c.real, pot_f), (q, j)
-            assert np.array_equal(jac_c.real, jac_f), (q, j)
 
 
 def test_potential_hessians_against_mpmath_oracle(tokamak):
@@ -500,25 +449,9 @@ def test_complex_step_pass_evaluates_the_field_once_per_distinct_column(monkeypa
         return F_integral(r, params)
 
     monkeypatch.setattr(hamiltonians, "F_integral", counting)
-    shared = tokamak_state.q[:, None] + STEP * 1j * np.eye(3, 6)
-    for with_jacobian in (True, False):
-        calls.clear()
-        TokamakModel().potential_and_jacobian(shared, with_jacobian)
-        assert len(calls) == 1
-    calls.clear()
-    TokamakModel().potential_and_jacobian(shared + 1e-3 * np.arange(6))
-    assert len(calls) == 6
-    # a grid pass: columns that alternate between two real parts
-    two = tokamak_state.q[:, None] + 1e-3 * (np.arange(12) % 2) + STEP * 1j * np.eye(3, 12)
-    calls.clear()
-    pot, jac = TokamakModel().potential_and_jacobian(two)
-    assert len(calls) == 2
-    for c in range(12):
-        alone = TokamakModel().potential_and_jacobian(two[:, c:c + 1])
-        assert np.array_equal(pot[:, c:c + 1], alone[0]) and np.array_equal(jac[..., c:c + 1], alone[1])
-    # an sv-qp grid: its kernel q half and numpy p half read each closing field once
+    # the kernel's passes read the field through one position-keyed cache: an sv-qp
+    # grid reads each closing field of its q halves once, for its p halves too
     grid = default_h_grid()
-    calls.clear()
     sv_block_orders(TokamakModel(), Scheme.SV_QP, 1, 3, grid, tokamak_state)
     assert len(calls) == 11
     # 60 points share the start and each step size's position iterates, in either order

@@ -8,7 +8,6 @@ from sympdefect.linalg import (
     solve,
     solve3,
     symplectic_matrix,
-    transposed_product,
 )
 
 def test_symplectic_matrix_smallest():
@@ -132,9 +131,8 @@ def test_frobenius_norm():
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
-def test_batched_solve_and_product_match_each_column_bitwise(dtype):
-    # the stacked LAPACK solve and matmul give each column exactly the
-    # unbatched result
+def test_batched_solve_matches_each_column_bitwise(dtype):
+    # the stacked LAPACK solve gives each column exactly the unbatched result
     rng = np.random.default_rng(3)
     k = 5
     a = rng.standard_normal((3, 3, k)).astype(dtype)
@@ -143,12 +141,10 @@ def test_batched_solve_and_product_match_each_column_bitwise(dtype):
         a += 2.0**-600 * 1j * rng.standard_normal((3, 3, k))
         x += 2.0**-600 * 1j * rng.standard_normal((3, k))
     lhs = np.eye(3) - 0.1 * a.T
-    product = transposed_product(a, x)
     solved = solve(lhs, x)
-    assert product.shape == solved.shape == (3, k)
+    assert solved.shape == (3, k)
     for c in range(k):
         col_a, col_x = a[:, :, c].copy(), x[:, c].copy()
-        assert np.array_equal(product[:, c], transposed_product(col_a, col_x))
         assert np.array_equal(solved[:, c], solve(np.eye(3) - 0.1 * col_a.T, col_x))
 
 
